@@ -169,11 +169,19 @@ pub struct ExecutionReport {
     /// Attributes this execution pinned to constants (inline literals plus
     /// bound parameters); 0 on unbound executions.
     pub bound_values: u64,
-    /// Tuples scanned in relations carrying a bound-constant filter, across
-    /// every shuffle round of this execution.
+    /// Tuples in the relations carrying a bound-constant filter, across
+    /// every shuffle round of this execution — relation sizes (the
+    /// selectivity denominator), not rows examined: range-selected
+    /// relations examine only their matching run.
     pub bound_scanned_tuples: u64,
     /// Tuples that passed their bound-constant filter and were routed.
     pub bound_kept_tuples: u64,
+    /// Bound relations whose matching rows a shuffle found by binary search
+    /// (bound columns on a prefix of the stored column order).
+    pub bound_range_atoms: u64,
+    /// Bound relations a shuffle scanned row by row (a bound column off the
+    /// stored prefix).
+    pub bound_scan_atoms: u64,
     /// Encoded frame bytes that crossed the wire across every shuffle round
     /// of this execution — real serialized bytes on the
     /// `TransportKind::Serialized` backend, 0 on the zero-copy in-process
@@ -247,6 +255,8 @@ impl ExecutionReport {
         self.hot_routed_tuples += shuffle.hot_routed_tuples;
         self.bound_scanned_tuples += shuffle.bound_scanned_tuples;
         self.bound_kept_tuples += shuffle.bound_kept_tuples;
+        self.bound_range_atoms += shuffle.bound_range_atoms;
+        self.bound_scan_atoms += shuffle.bound_scan_atoms;
         self.wire_bytes += shuffle.wire_bytes;
         self.pipeline_overlap_secs += shuffle.overlap_secs;
     }

@@ -30,6 +30,7 @@ use adj_faults::{CancelToken, FaultSite};
 use adj_relational::hash::FxHashMap;
 use adj_relational::{Attr, BoundValues, Database, Error, Relation, Result, Schema, Trie, Value};
 use adj_trace::{Tracer, COORDINATOR_LANE};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -109,12 +110,20 @@ pub struct ShuffleReport {
     pub reused_relations: u64,
     /// Tuple copies that cache hits avoided moving.
     pub tuples_saved: u64,
-    /// Tuples scanned in relations carrying a bound-constant filter (the
-    /// selection-pushdown denominators; 0 on unbound shuffles).
+    /// Tuples in the relations carrying a bound-constant filter — their
+    /// sizes, the selection-pushdown denominator, not the rows examined (a
+    /// range-selected relation examines only its matching run). 0 on
+    /// unbound shuffles.
     pub bound_scanned_tuples: u64,
     /// Tuples that passed their bound-constant filter and were routed —
     /// `bound_kept / bound_scanned` is the realized binding selectivity.
     pub bound_kept_tuples: u64,
+    /// Bound relations whose matching rows were found by binary search
+    /// (their bound columns are a prefix of the stored column order).
+    pub bound_range_atoms: u64,
+    /// Bound relations that were scanned row by row (some bound column lies
+    /// off the stored prefix).
+    pub bound_scan_atoms: u64,
 }
 
 /// The result of a shuffle: per-worker local databases plus the cost report.
@@ -167,6 +176,26 @@ fn resolve<'a>(
     db.get(name)
 }
 
+/// The rows of `rel` matching an atom's bound-constant `filters` (over
+/// induced columns, mapped to stored ones through `perm`), found by binary
+/// search when the filtered stored columns are exactly a prefix `0..k` —
+/// normal form keeps those rows one sorted run
+/// ([`Relation::prefix_range`]). `None` when some bound column lies off the
+/// prefix, so the relation must be scanned.
+fn prefix_selection(
+    rel: &Relation,
+    perm: &[usize],
+    filters: &[(usize, Value)],
+) -> Option<Range<usize>> {
+    let mut stored: Vec<(usize, Value)> = filters.iter().map(|&(c, v)| (perm[c], v)).collect();
+    stored.sort_unstable();
+    if !stored.iter().enumerate().all(|(i, &(col, _))| col == i) {
+        return None;
+    }
+    let key: Vec<Value> = stored.iter().map(|&(_, v)| v).collect();
+    Some(rel.prefix_range(&key))
+}
+
 /// [`hcube_shuffle`] with a cross-query index cache and a heavy-hitter
 /// routing table.
 ///
@@ -188,9 +217,15 @@ fn resolve<'a>(
 /// role, so skew-routed tries never alias hash-routed ones.
 ///
 /// `bound` carries a prepared query's bound constants. Relations containing
-/// a bound attribute are filtered **before routing** — tuples failing an
+/// a bound attribute are selected **before routing** — tuples failing an
 /// `attr = value` selection never enter an inbox, so the communication
-/// volume shrinks with the binding's selectivity. Bound relations also
+/// volume shrinks with the binding's selectivity. When a relation's bound
+/// columns are a prefix of its stored (sorted) column order — the usual
+/// case, since the optimizer hoists bound attributes to the front — the
+/// matching rows are one contiguous run found by binary search, so the
+/// selection costs `O(log n)` plus the rows kept; otherwise the relation is
+/// scanned and each row checked. Both paths route the same rows in the same
+/// order. Bound relations also
 /// **bypass the index cache in both directions**: their fragments depend on
 /// the binding's values, and a serving workload binds unboundedly many
 /// distinct values, so caching per-binding artifacts would evict the
@@ -256,7 +291,8 @@ fn checkpoint(site: FaultSite, cancel: &CancelToken) -> Result<()> {
 /// on the coordinator lane (with tuple/message/reuse totals), an
 /// `index_cache_hit` / `index_cache_miss` instant per consulted
 /// [`IndexKey`], a `route` span over the
-/// filter-route-inbox pass, and a `build` span per worker lane over the
+/// select-route-inbox pass (its args count bound relations selected by
+/// range vs by scan), and a `build` span per worker lane over the
 /// cold relations' sort + trie builds. With a disabled tracer this is
 /// exactly [`hcube_shuffle_cached`].
 #[allow(clippy::too_many_arguments)]
@@ -400,6 +436,8 @@ pub fn hcube_shuffle_cached_traced(
         hot_routed_tuples: u64,
         bound_scanned_tuples: u64,
         bound_kept_tuples: u64,
+        bound_range_atoms: u64,
+        bound_scan_atoms: u64,
         worker_tuples: Vec<u64>,
         rel_tuples: Vec<u64>,
         rel_messages: Vec<u64>,
@@ -438,6 +476,8 @@ pub fn hcube_shuffle_cached_traced(
             let mut hot_routed_tuples: u64 = 0;
             let mut bound_scanned_tuples: u64 = 0;
             let mut bound_kept_tuples: u64 = 0;
+            let mut bound_range_atoms: u64 = 0;
+            let mut bound_scan_atoms: u64 = 0;
             // Delivered copies per worker: the partition-fill vector the
             // skew stats read.
             let mut worker_tuples: Vec<u64> = vec![0; n];
@@ -455,7 +495,7 @@ pub fn hcube_shuffle_cached_traced(
                     continue; // served from the cache — nothing moves
                 }
                 // At least one cancellation checkpoint per cold atom, then
-                // one per CANCEL_CHECK_EVERY scanned rows inside the
+                // one per CANCEL_CHECK_EVERY examined rows inside the
                 // routing loops, plus one per sent batch.
                 checkpoint(FaultSite::ShuffleRoute, cancel)?;
                 let rel = resolve(db, overlay, &info.name)?;
@@ -469,11 +509,24 @@ pub fn hcube_shuffle_cached_traced(
                 let mut prow: Vec<Value> = Vec::with_capacity(info.perm.len());
                 let mut coords: Vec<u32> = Vec::with_capacity(info.perm.len());
                 // Selection pushdown: a tuple failing a bound equality
-                // never routes.
+                // never routes. Bound columns on a stored prefix narrow the
+                // rows to one sorted run first; the check below stays exact
+                // either way.
                 let keep = |prow: &[Value]| info.filters.iter().all(|&(c, v)| prow[c] == v);
+                let mut selected = 0..rel.len();
                 if !info.filters.is_empty() {
                     bound_scanned_tuples += rel.len() as u64;
+                    match prefix_selection(rel, &info.perm, &info.filters) {
+                        Some(range) => {
+                            selected = range;
+                            bound_range_atoms += 1;
+                        }
+                        None => bound_scan_atoms += 1,
+                    }
                 }
+                let arity = rel.arity().max(1);
+                let rows =
+                    rel.flat()[selected.start * arity..selected.end * arity].chunks_exact(arity);
                 match impl_ {
                     HCubeImpl::Push => {
                         // Per-delivery message accounting is preserved, but
@@ -482,7 +535,7 @@ pub fn hcube_shuffle_cached_traced(
                         const PUSH_BATCH_TUPLES: u64 = 2048;
                         let mut pending: Vec<Vec<Value>> = (0..n).map(|_| Vec::new()).collect();
                         let mut pending_cnt: Vec<u64> = vec![0; n];
-                        for row in rel.rows() {
+                        for row in rows {
                             rows_since_check += 1;
                             if rows_since_check >= CANCEL_CHECK_EVERY {
                                 rows_since_check = 0;
@@ -548,7 +601,7 @@ pub fn hcube_shuffle_cached_traced(
                         // layout so that the block-id decode below matches
                         // the encode.
                         let mut blocks: FxHashMap<u64, Vec<Value>> = FxHashMap::default();
-                        for row in rel.rows() {
+                        for row in rows {
                             rows_since_check += 1;
                             if rows_since_check >= CANCEL_CHECK_EVERY {
                                 rows_since_check = 0;
@@ -631,6 +684,8 @@ pub fn hcube_shuffle_cached_traced(
             route_span.arg("tuples", tuples);
             route_span.arg("messages", messages);
             route_span.arg("hot_routed_tuples", hot_routed_tuples);
+            route_span.arg("bound_range_atoms", bound_range_atoms);
+            route_span.arg("bound_scan_atoms", bound_scan_atoms);
             route_span.arg("frames", round_ref.frames_sent());
             drop(route_span);
             Ok(RouteOutcome {
@@ -639,6 +694,8 @@ pub fn hcube_shuffle_cached_traced(
                 hot_routed_tuples,
                 bound_scanned_tuples,
                 bound_kept_tuples,
+                bound_range_atoms,
+                bound_scan_atoms,
                 worker_tuples,
                 rel_tuples,
                 rel_messages,
@@ -756,6 +813,8 @@ pub fn hcube_shuffle_cached_traced(
             hot_routed_tuples: 0,
             bound_scanned_tuples: 0,
             bound_kept_tuples: 0,
+            bound_range_atoms: 0,
+            bound_scan_atoms: 0,
             worker_tuples: vec![0; n],
             rel_tuples: vec![0; n_atoms],
             rel_messages: vec![0; n_atoms],
@@ -769,6 +828,8 @@ pub fn hcube_shuffle_cached_traced(
         hot_routed_tuples,
         bound_scanned_tuples,
         bound_kept_tuples,
+        bound_range_atoms,
+        bound_scan_atoms,
         worker_tuples,
         rel_tuples,
         rel_messages,
@@ -887,6 +948,8 @@ pub fn hcube_shuffle_cached_traced(
             tuples_saved,
             bound_scanned_tuples,
             bound_kept_tuples,
+            bound_range_atoms,
+            bound_scan_atoms,
         },
     })
 }
@@ -1354,6 +1417,8 @@ mod tests {
         let r1 = db.get("R1").unwrap();
         let r3 = db.get("R3").unwrap();
         assert_eq!(out.report.bound_scanned_tuples, (r1.len() + r3.len()) as u64);
+        // `a` leads both stored orders: both selections are binary searches.
+        assert_eq!((out.report.bound_range_atoms, out.report.bound_scan_atoms), (2, 0));
         assert!(out.report.bound_kept_tuples < out.report.bound_scanned_tuples);
         assert!(
             out.report.tuples < unbound.report.tuples,
@@ -1383,6 +1448,26 @@ mod tests {
             all = all.union(&out.locals[w][1].trie.to_relation()).unwrap();
         }
         assert_eq!(&all.permute(&[Attr(1), Attr(2)]).unwrap(), db.get("R2").unwrap());
+
+        // Binding `b` instead: it leads R2's stored order but trails R1's.
+        let by_b = BoundValues::new(vec![(Attr(1), 7)]).unwrap();
+        let out = hcube_shuffle_cached(
+            &c2,
+            &db,
+            &names,
+            &plan,
+            &order3(),
+            HCubeImpl::Merge,
+            None,
+            &[],
+            &[],
+            &HotValues::none(),
+            &by_b,
+        )
+        .unwrap();
+        assert_eq!((out.report.bound_range_atoms, out.report.bound_scan_atoms), (1, 1));
+        let r2 = db.get("R2").unwrap();
+        assert_eq!(out.report.bound_scanned_tuples, (r1.len() + r2.len()) as u64);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::hash::FxHashMap;
 use crate::schema::{Attr, Schema};
 use crate::Value;
 use std::fmt;
+use std::ops::Range;
 
 /// A relation: a schema plus a sorted, deduplicated row-major tuple store.
 #[derive(Clone, PartialEq, Eq)]
@@ -149,23 +150,23 @@ impl Relation {
 
     /// Membership test via binary search (relation is sorted).
     pub fn contains_row(&self, row: &[Value]) -> bool {
-        if row.len() != self.arity() || self.is_empty() {
-            return false;
+        row.len() == self.arity() && !self.prefix_range(row).is_empty()
+    }
+
+    /// The rows whose leading `prefix.len()` columns equal `prefix`, as a
+    /// row-index range. Normal form keeps them one contiguous sorted run, so
+    /// two binary searches find it in `O(log n)` — the seek Leapfrog
+    /// Triejoin performs on a sorted run. An empty prefix selects every row;
+    /// a prefix longer than the arity selects none.
+    pub fn prefix_range(&self, prefix: &[Value]) -> Range<usize> {
+        let k = prefix.len();
+        if k > self.arity() {
+            return 0..0;
         }
-        let a = self.arity();
-        let n = self.len();
-        let mut lo = 0usize;
-        let mut hi = n;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match self.row(mid).cmp(row) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return true,
-            }
-        }
-        let _ = a;
-        false
+        let key = |i: usize| &self.row(i)[..k];
+        let lo = partition_point(0, self.len(), |i| key(i) < prefix);
+        let hi = partition_point(lo, self.len(), |i| key(i) <= prefix);
+        lo..hi
     }
 
     /// Renames attributes via `map(old) -> new`, keeping column order.
@@ -481,14 +482,28 @@ impl Relation {
             schema: self.schema.to_string(),
         })?;
         let arity = self.arity();
-        let mut data = Vec::new();
-        for row in self.data.chunks_exact(arity) {
-            if row[p] == value {
-                data.extend_from_slice(row);
-            }
-        }
+        let data = if p == 0 {
+            let rows = self.prefix_range(&[value]);
+            self.data[rows.start * arity..rows.end * arity].to_vec()
+        } else {
+            self.data.chunks_exact(arity).filter(|row| row[p] == value).flatten().copied().collect()
+        };
         Ok(Relation { schema: self.schema.clone(), data })
     }
+}
+
+/// The first index in `lo..hi` where `pred` turns false, for a `pred` that
+/// is true on a prefix of the range and false after it.
+fn partition_point(mut lo: usize, mut hi: usize, pred: impl Fn(usize) -> bool) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// Merges two sorted-dedup row-major runs of the same arity.
@@ -562,6 +577,44 @@ mod tests {
         assert!(r.contains_row(&[3, 4]));
         assert!(!r.contains_row(&[3, 5]));
         assert!(!r.contains_row(&[3])); // wrong arity
+        assert!(r.contains_row(&[1, 2]) && r.contains_row(&[5, 6]));
+        assert!(!Relation::empty(r.schema().clone()).contains_row(&[1, 2]));
+    }
+
+    #[test]
+    fn prefix_range_finds_sorted_runs() {
+        let empty = Relation::empty(Schema::from_ids(&[0, 1]));
+        assert!(empty.prefix_range(&[1]).is_empty());
+        assert!(empty.prefix_range(&[]).is_empty());
+
+        let r = rel(&[0, 1, 2], &[&[1, 2, 3], &[1, 2, 4], &[1, 5, 0], &[3, 0, 0], &[7, 1, 1]]);
+        // absent keys: below, between and above the stored values
+        assert_eq!(r.prefix_range(&[0]), 0..0);
+        assert_eq!(r.prefix_range(&[2]), 3..3);
+        assert_eq!(r.prefix_range(&[9]), 5..5);
+        assert_eq!(r.prefix_range(&[1, 3]), 2..2);
+        // keys at the first and last row
+        assert_eq!(r.prefix_range(&[1]), 0..3);
+        assert_eq!(r.prefix_range(&[7]), 4..5);
+        assert_eq!(r.prefix_range(&[1, 2, 3]), 0..1);
+        assert_eq!(r.prefix_range(&[7, 1, 1]), 4..5);
+        // 1-column, 2-column and full-arity prefixes
+        assert_eq!(r.prefix_range(&[3]), 3..4);
+        assert_eq!(r.prefix_range(&[1, 2]), 0..2);
+        assert_eq!(r.prefix_range(&[1, 2, 4]), 1..2);
+        assert_eq!(r.prefix_range(&[1, 2, 5]), 2..2);
+        // the empty prefix selects everything, an over-long one nothing
+        assert_eq!(r.prefix_range(&[]), 0..5);
+        assert_eq!(r.prefix_range(&[1, 2, 3, 0]), 0..0);
+        // every range equals the brute-force filter of its key
+        for row in r.rows() {
+            for k in 1..=3 {
+                let hits: Vec<usize> =
+                    (0..r.len()).filter(|&i| r.row(i)[..k] == row[..k]).collect();
+                let range = r.prefix_range(&row[..k]);
+                assert_eq!(range.clone().collect::<Vec<_>>(), hits, "prefix {:?}", &row[..k]);
+            }
+        }
     }
 
     #[test]
@@ -667,7 +720,9 @@ mod tests {
     #[test]
     fn select_eq_and_column_values() {
         let r = rel(&[0, 1], &[&[1, 2], &[1, 3], &[2, 3]]);
-        assert_eq!(r.select_eq(Attr(0), 1).unwrap().len(), 2);
+        assert_eq!(r.select_eq(Attr(0), 1).unwrap(), rel(&[0, 1], &[&[1, 2], &[1, 3]]));
+        assert!(r.select_eq(Attr(0), 9).unwrap().is_empty());
+        assert_eq!(r.select_eq(Attr(1), 3).unwrap(), rel(&[0, 1], &[&[1, 3], &[2, 3]]));
         assert_eq!(r.column_values(Attr(1)).unwrap(), vec![2, 3]);
     }
 

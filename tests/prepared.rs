@@ -293,3 +293,163 @@ fn rebinding_works_across_database_reregistration() {
     assert!(!second.cache_hit, "new epoch must re-plan");
     assert_eq!(second.output, QueryOutput::Count(3)); // 1→2→{3,6}, 1→4→5
 }
+
+/// Seeds of the range-vs-scan selection sweep: a few in debug builds (the
+/// tier-1 `cargo test`), a wider sweep under `cargo test --release`.
+const SELECTION_SEEDS: u64 = if cfg!(debug_assertions) { 4 } else { 128 };
+
+/// A seeded database of three relations over attributes `0..4`, each of
+/// arity 2 or 3 with its own stored column order, on a small value domain
+/// so bound values hit runs of several rows.
+fn selection_db(rng: &mut impl rand::Rng) -> (Database, Vec<String>) {
+    let mut db = Database::new();
+    let mut names = Vec::new();
+    for r in 0..3 {
+        let mut attrs = vec![Attr(0), Attr(1), Attr(2), Attr(3)];
+        for i in (1..attrs.len()).rev() {
+            attrs.swap(i, rng.gen_range(0..i + 1));
+        }
+        attrs.truncate(rng.gen_range(2..4usize));
+        let rows = if rng.gen_bool(0.1) { 0 } else { rng.gen_range(1..80usize) };
+        let data: Vec<Value> = (0..rows * attrs.len()).map(|_| rng.gen_range(0..7u32)).collect();
+        let name = format!("S{r}");
+        db.insert(&name, Relation::from_flat(Schema::new(attrs).unwrap(), data).unwrap());
+        names.push(name);
+    }
+    (db, names)
+}
+
+/// Bindings for one or two attributes, each at a value absent from the
+/// data, the attribute's minimum or maximum, or an arbitrary present value —
+/// cycling with `seed`, so any four consecutive seeds bind all four kinds.
+fn selection_bindings(
+    rng: &mut impl rand::Rng,
+    seed: u64,
+    db: &Database,
+    names: &[String],
+) -> BoundValues {
+    let mut pairs = Vec::new();
+    for i in 0..rng.gen_range(1..3u64) {
+        let attr = Attr(rng.gen_range(0..4u32));
+        let mut present: Vec<Value> = Vec::new();
+        for name in names {
+            if let Ok(values) = db.get(name).unwrap().column_values(attr) {
+                present.extend(values);
+            }
+        }
+        present.sort_unstable();
+        let value = match ((seed + i) % 4, present.is_empty()) {
+            (0, _) | (_, true) => 1000,
+            (1, false) => present[0],
+            (2, false) => present[present.len() - 1],
+            _ => present[rng.gen_range(0..present.len())],
+        };
+        pairs.push((attr, value));
+    }
+    // A repeated attribute keeps its first value.
+    pairs.sort_by_key(|&(a, _)| a);
+    pairs.dedup_by_key(|&mut (a, _)| a);
+    BoundValues::new(pairs).unwrap()
+}
+
+/// Rows of `rel` satisfying every binding on its attributes.
+fn brute_force_filter(rel: &Relation, bound: &BoundValues) -> Relation {
+    let filters: Vec<(usize, Value)> = bound.filters_for(rel.schema());
+    let rows: Vec<&[Value]> =
+        rel.rows().filter(|row| filters.iter().all(|&(c, v)| row[c] == v)).collect();
+    Relation::from_rows(rel.schema().clone(), &rows).unwrap()
+}
+
+#[test]
+fn range_and_scan_selection_match_a_brute_force_filter() {
+    use adj::hcube::{hcube_shuffle, hcube_shuffle_cached, HCubeImpl, HCubePlan, HotValues};
+    use adj::relational::Trie;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    let (mut ranged_total, mut scanned_total) = (0u64, 0u64);
+    for seed in 0..SELECTION_SEEDS {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (db, names) = selection_db(&mut rng);
+        let bound = selection_bindings(&mut rng, seed, &db, &names);
+        let mut order = vec![Attr(0), Attr(1), Attr(2), Attr(3)];
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..i + 1));
+        }
+        let share: Vec<u32> = (0..4).map(|_| rng.gen_range(1..4u32)).collect();
+
+        // What each atom's selection must be: binary search iff its bound
+        // columns are exactly a prefix of the stored column order.
+        let (mut range_atoms, mut scan_atoms, mut sizes, mut kept) = (0u64, 0u64, 0u64, 0u64);
+        for name in &names {
+            let rel = db.get(name).unwrap();
+            let mut cols: Vec<usize> =
+                bound.filters_for(rel.schema()).iter().map(|f| f.0).collect();
+            if cols.is_empty() {
+                continue;
+            }
+            cols.sort_unstable();
+            if cols.iter().enumerate().all(|(i, &c)| c == i) {
+                range_atoms += 1;
+            } else {
+                scan_atoms += 1;
+            }
+            sizes += rel.len() as u64;
+            kept += brute_force_filter(rel, &bound).len() as u64;
+        }
+        ranged_total += range_atoms;
+        scanned_total += scan_atoms;
+
+        for workers in 1..=5 {
+            let plan = HCubePlan::new(share.clone(), workers);
+            for transport in [TransportKind::InProcess, TransportKind::Serialized] {
+                let cluster = Cluster::new(ClusterConfig {
+                    transport,
+                    ..ClusterConfig::with_workers(workers)
+                });
+                for impl_ in HCubeImpl::ALL {
+                    let ctx = format!("seed {seed}, {workers} workers, {transport:?}, {impl_:?}");
+                    // The unbound shuffle routes every row by plain hashing;
+                    // a bound row lands on the same workers, so each bound
+                    // fragment is the unbound fragment, filtered.
+                    let unbound = hcube_shuffle(&cluster, &db, &names, &plan, &order, impl_)
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    let out = hcube_shuffle_cached(
+                        &cluster,
+                        &db,
+                        &names,
+                        &plan,
+                        &order,
+                        impl_,
+                        None,
+                        &[],
+                        &[],
+                        &HotValues::none(),
+                        &bound,
+                    )
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    assert_eq!(out.report.bound_range_atoms, range_atoms, "{ctx}: range atoms");
+                    assert_eq!(out.report.bound_scan_atoms, scan_atoms, "{ctx}: scan atoms");
+                    assert_eq!(out.report.bound_scanned_tuples, sizes, "{ctx}: sizes");
+                    assert_eq!(out.report.bound_kept_tuples, kept, "{ctx}: kept");
+                    for (ai, name) in names.iter().enumerate() {
+                        let induced = out.locals[0][ai].trie.schema().clone();
+                        let whole = brute_force_filter(db.get(name).unwrap(), &bound)
+                            .permute(induced.attrs())
+                            .unwrap();
+                        let mut union = Relation::empty(induced.clone());
+                        for w in 0..workers {
+                            let fragment = unbound.locals[w][ai].trie.to_relation();
+                            let expect = brute_force_filter(&fragment, &bound);
+                            let got = &out.locals[w][ai].trie;
+                            assert_eq!(**got, Trie::build(&expect), "{ctx}: {name} trie @ {w}");
+                            assert_eq!(got.to_relation(), expect, "{ctx}: {name} rows @ {w}");
+                            union = union.union(&expect).unwrap();
+                        }
+                        assert_eq!(union, whole, "{ctx}: {name} rows across workers");
+                    }
+                }
+            }
+        }
+    }
+    assert!(ranged_total > 0 && scanned_total > 0, "the sweep must exercise both selections");
+}
