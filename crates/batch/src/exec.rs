@@ -2,91 +2,44 @@
 
 use crate::BindingBatch;
 use adj_cluster::Cluster;
-use adj_core::{prepare_plan_locals, AdjConfig, ExecutionReport, QueryPlan};
-use adj_faults::{CancelToken, FaultSite};
-use adj_hcube::IndexScope;
+use adj_core::{
+    prepare_plan_locals, shape_output, AdjConfig, CancelSink, ExecRequest, ExecutionReport,
+    QueryPlan,
+};
+use adj_faults::FaultSite;
 use adj_leapfrog::{BatchedLeapfrog, JoinCounters, JoinScratch};
 use adj_relational::{
     Attr, BoundValues, CountSink, Database, Error, ExistsSink, OutputMode, QueryOutput, Relation,
     Result, RowBuffer, RowSink, Schema, Trie, Value,
 };
-use adj_trace::{Tracer, COORDINATOR_LANE};
+use adj_trace::COORDINATOR_LANE;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// How often batch join sinks poll the cancellation token (mirrors the
-/// single-binding executor's cadence).
-const SINK_CHECK_EVERY: u64 = 1024;
 
 /// Maps a fired token onto the workspace error type.
 fn cancel_err(c: adj_faults::Cancelled) -> Error {
     Error::Cancelled { deadline_exceeded: c.deadline }
 }
 
-/// The per-binding [`RowSink`] adapter of the batch path: polls the
-/// [`CancelToken`] (and the `JoinEnumerate` fault-injection site) every
-/// [`SINK_CHECK_EVERY`] rows and saturates when the token fires. A
-/// saturated-by-cancel binding never keeps its truncated output — the
-/// batch driver's `stop` hook fires on the same token, and a binding in
-/// flight when it fires falls past the `completed` watermark, surfacing as
-/// a per-binding [`Error::Cancelled`]. (Duplicated from the single-binding
-/// executor, whose adapter is private.)
-struct CancelSink<'a, S> {
-    inner: S,
-    cancel: &'a CancelToken,
-    rows_since_check: u64,
-    stopped: bool,
-}
-
-impl<'a, S: RowSink> CancelSink<'a, S> {
-    fn new(inner: S, cancel: &'a CancelToken) -> Self {
-        CancelSink { inner, cancel, rows_since_check: 0, stopped: false }
-    }
-
-    fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: RowSink> RowSink for CancelSink<'_, S> {
-    fn push(&mut self, row: &[Value]) -> bool {
-        self.rows_since_check += 1;
-        if self.rows_since_check >= SINK_CHECK_EVERY {
-            self.rows_since_check = 0;
-            adj_faults::inject(FaultSite::JoinEnumerate, self.cancel);
-            if self.cancel.check().is_err() {
-                self.stopped = true;
-                return false;
-            }
-        }
-        self.inner.push(row)
-    }
-
-    fn saturated(&self) -> bool {
-        self.stopped || self.inner.saturated()
-    }
-}
-
 /// One executed driver slot's payload, as shipped back by a worker.
 enum SlotData {
     /// Flat row data (`Rows`/`Limit` modes).
     Rows(Vec<Value>),
-    /// This worker's local cardinality (`Count` mode).
-    Count(u64),
-    /// Whether this worker found a witness (`Exists` mode).
-    Exists(bool),
+    /// This worker's local result count (`Count` mode) or witness bit
+    /// (`Exists` mode).
+    Found(u64),
 }
 
 /// Per-driver-slot gather accumulator.
 #[derive(Default)]
 struct SlotAcc {
     rows: Vec<Value>,
-    count: u64,
-    exists: bool,
+    found: u64,
     err: Option<Error>,
 }
 
-/// Executes every binding of `batch` against one prepared plan, sharing
+/// Executes every binding of `batch` against one prepared plan under
+/// `req` (output mode, index-cache scope, cancel token, tracer), sharing
 /// the expensive phases across the whole batch:
 ///
 /// * **one** admission-width pin ([`Cluster::begin_query`]), **one** bag
@@ -112,19 +65,16 @@ struct SlotAcc {
 /// (the unbound shuffle partitions every output tuple onto exactly one
 /// worker under any share vector), and per-worker `Limit` sampling keeps
 /// its canonical smallest-rows semantics.
-#[allow(clippy::too_many_arguments)]
 pub fn execute_plan_batch(
     cluster: &Cluster,
     db: &Database,
     plan: &QueryPlan,
     config: &AdjConfig,
-    mode: OutputMode,
-    index: Option<&IndexScope<'_>>,
     batch: &BindingBatch,
-    cancel: &CancelToken,
-    tracer: &Tracer,
+    req: &ExecRequest<'_>,
 ) -> Result<(Vec<Result<QueryOutput>>, ExecutionReport)> {
     let t_exec = Instant::now();
+    let ExecRequest { mode, ref cancel, ref tracer, .. } = *req;
     let mut report = ExecutionReport { hot_values: plan.hot.len() as u64, ..Default::default() };
     if batch.is_empty() {
         return Ok((Vec::new(), report));
@@ -137,16 +87,8 @@ pub fn execute_plan_batch(
     // values take priority, the plan's inline literals fill the rest —
     // exactly the single-binding executor's merge discipline.
     let consts = plan.query.const_bindings()?;
-    let mut merged: Vec<BoundValues> = Vec::with_capacity(batch.unique_len());
-    for b in batch.unique() {
-        let mut pairs = b.pairs().to_vec();
-        for &(a, v) in consts.pairs() {
-            if b.get(a).is_none() {
-                pairs.push((a, v));
-            }
-        }
-        merged.push(BoundValues::new(pairs)?);
-    }
+    let merged: Vec<BoundValues> =
+        batch.unique().iter().map(|b| b.with_defaults(&consts)).collect::<Result<_>>()?;
     // Every bound position of the shape must have a value. The batch's
     // attribute set is uniform across submissions (BindingBatch enforces
     // it), so an unbound parameter is an all-or-nothing, whole-batch error.
@@ -157,10 +99,10 @@ pub fn execute_plan_batch(
     }
     report.bound_values = merged[0].len() as u64;
 
-    let schema = Schema::new(plan.order.clone())?;
     // `LIMIT 0` is a complete answer for every binding by definition.
     if mode == OutputMode::Limit(0) {
         report.other_secs = t_exec.elapsed().as_secs_f64();
+        let schema = Schema::new(plan.order.clone())?;
         let empty: Result<QueryOutput> = Ok(QueryOutput::Rows(Relation::empty(schema)));
         return Ok((vec![empty; batch.len()], report));
     }
@@ -169,17 +111,8 @@ pub fn execute_plan_batch(
     // `bind_tag = 0`, so the locals are the same warm, cacheable tries the
     // unbound query uses — and the next batch of the same shape reuses
     // them wholesale.
-    let locals = prepare_plan_locals(
-        cluster,
-        db,
-        plan,
-        config,
-        index,
-        &BoundValues::none(),
-        &mut report,
-        cancel,
-        tracer,
-    )?;
+    let locals =
+        prepare_plan_locals(cluster, db, plan, config, req, &BoundValues::none(), &mut report)?;
 
     // Project each unique binding onto the plan's attribute order. Bound
     // attributes outside the order are ignored, like the single-binding
@@ -222,6 +155,10 @@ pub fn execute_plan_batch(
             let tries: Vec<Arc<Trie>> = locals[w].iter().map(|l| Arc::clone(&l.trie)).collect();
             let driver = BatchedLeapfrog::new(order, tries, bound_attrs_ref)?;
             let mut scratch = JoinScratch::new();
+            // A binding whose `CancelSink` saturated on a fired token never
+            // keeps its truncated output: this hook fires on the same token,
+            // so the binding in flight falls past the `completed` watermark
+            // and surfaces as a per-binding `Error::Cancelled`.
             let mut stop = || cancel.check().is_err();
             let (slots, counters, completed) = match mode {
                 OutputMode::Rows | OutputMode::Limit(_) => {
@@ -265,7 +202,7 @@ pub fn execute_plan_batch(
                     let slots: Vec<Result<SlotData>> = sinks
                         .into_iter()
                         .take(outcome.completed)
-                        .map(|s| Ok(SlotData::Count(s.into_inner().count())))
+                        .map(|s| Ok(SlotData::Found(s.into_inner().count())))
                         .collect();
                     (slots, outcome.counters, outcome.completed)
                 }
@@ -279,7 +216,7 @@ pub fn execute_plan_batch(
                     let slots: Vec<Result<SlotData>> = sinks
                         .into_iter()
                         .take(outcome.completed)
-                        .map(|s| Ok(SlotData::Exists(s.into_inner().found())))
+                        .map(|s| Ok(SlotData::Found(s.into_inner().found() as u64)))
                         .collect();
                     (slots, outcome.counters, outcome.completed)
                 }
@@ -312,8 +249,7 @@ pub fn execute_plan_batch(
         for (acc, slot) in accs.iter_mut().zip(slots) {
             match slot {
                 Ok(SlotData::Rows(rows)) => acc.rows.extend_from_slice(&rows),
-                Ok(SlotData::Count(n)) => acc.count += n,
-                Ok(SlotData::Exists(e)) => acc.exists |= e,
+                Ok(SlotData::Found(n)) => acc.found += n,
                 Err(e) => {
                     acc.err.get_or_insert(e);
                 }
@@ -347,20 +283,7 @@ pub fn execute_plan_batch(
             slot_outputs.push(Err(e));
             continue;
         }
-        let out = match mode {
-            OutputMode::Rows => QueryOutput::Rows(Relation::from_flat(schema.clone(), acc.rows)?),
-            OutputMode::Limit(n) => {
-                // Same canonical-sample shaping as the single-binding
-                // path: each worker shipped its n smallest local rows, so
-                // normalizing and truncating keeps the n globally-smallest.
-                let gathered = Relation::from_flat(schema.clone(), acc.rows)?;
-                let keep = n.min(gathered.len());
-                let flat = gathered.flat()[..keep * width].to_vec();
-                QueryOutput::Rows(Relation::from_flat(schema.clone(), flat)?)
-            }
-            OutputMode::Count => QueryOutput::Count(acc.count),
-            OutputMode::Exists => QueryOutput::Exists(acc.exists),
-        };
+        let out = shape_output(&plan.order, mode, acc.rows, acc.found)?;
         slot_outputs.push(Ok(out));
     }
 
@@ -380,7 +303,7 @@ pub fn execute_plan_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adj_core::{execute_plan_bound, optimize, Adj, Strategy};
+    use adj_core::{execute_plan, optimize, Adj, CancelToken, Strategy};
     use adj_query::parse_query;
     use adj_relational::Attr;
 
@@ -420,19 +343,22 @@ mod tests {
                 &db,
                 &plan,
                 adj.config(),
-                mode,
-                None,
                 &batch,
-                &CancelToken::none(),
-                &Tracer::disabled(),
+                &ExecRequest::new(mode),
             )
             .unwrap();
             assert_eq!(outs.len(), values.len());
             for (&v, out) in values.iter().zip(&outs) {
                 let bound = BoundValues::new(vec![(attr, v)]).unwrap();
-                let (expect, _) =
-                    execute_plan_bound(adj.cluster(), &db, &plan, adj.config(), mode, None, &bound)
-                        .unwrap();
+                let (expect, _) = execute_plan(
+                    adj.cluster(),
+                    &db,
+                    &plan,
+                    adj.config(),
+                    &bound,
+                    &ExecRequest::new(mode),
+                )
+                .unwrap();
                 assert_eq!(
                     out.as_ref().unwrap(),
                     &expect,
@@ -454,11 +380,8 @@ mod tests {
             &db,
             &plan,
             adj.config(),
-            OutputMode::Count,
-            None,
             &batch,
-            &CancelToken::none(),
-            &Tracer::disabled(),
+            &ExecRequest::new(OutputMode::Count),
         )
         .unwrap();
         assert_eq!(outs.len(), 4);
@@ -475,11 +398,8 @@ mod tests {
             &db,
             &plan,
             adj.config(),
-            OutputMode::Rows,
-            None,
             &batch,
-            &CancelToken::none(),
-            &Tracer::disabled(),
+            &ExecRequest::new(OutputMode::Rows),
         )
         .unwrap();
         assert!(outs.is_empty());
@@ -495,11 +415,8 @@ mod tests {
             &db,
             &plan,
             adj.config(),
-            OutputMode::Count,
-            None,
             &batch,
-            &CancelToken::none(),
-            &Tracer::disabled(),
+            &ExecRequest::new(OutputMode::Count),
         )
         .unwrap_err();
         assert!(matches!(err, Error::UnboundParam { .. }));
@@ -519,11 +436,8 @@ mod tests {
             &db,
             &plan,
             adj.config(),
-            OutputMode::Count,
-            None,
             &batch,
-            &cancel,
-            &Tracer::disabled(),
+            &ExecRequest { cancel, ..ExecRequest::new(OutputMode::Count) },
         );
         // The token can fire the batch-level shuffle (whole-batch error) —
         // but if execution reaches the join, every binding must carry a

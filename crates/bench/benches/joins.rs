@@ -7,7 +7,7 @@ use adj_core::{Adj, AdjConfig, Strategy};
 use adj_datagen::Dataset;
 use adj_leapfrog::{CachedJoin, LeapfrogJoin};
 use adj_query::{paper_query, PaperQuery};
-use adj_relational::Trie;
+use adj_relational::{OutputMode, Trie};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_leapfrog(c: &mut Criterion) {
@@ -54,7 +54,7 @@ fn bench_strategies(c: &mut Criterion) {
                         cluster: ClusterConfig::with_workers(4),
                         ..Default::default()
                     });
-                    adj.execute_with_strategy(black_box(&query), black_box(&db), strategy)
+                    adj.execute_with(black_box(&query), black_box(&db), strategy, OutputMode::Rows)
                         .unwrap()
                         .report
                         .total_secs()

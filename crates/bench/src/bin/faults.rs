@@ -32,7 +32,7 @@
 //! `ADJ_FAULT_QUERIES` (200), `ADJ_BENCH_OUT` (`BENCH_faults.json`).
 
 use adj_bench::{adj_config, print_table, workers};
-use adj_core::{Adj, Strategy, Tracer};
+use adj_core::{Adj, ExecRequest, Strategy};
 use adj_datagen::Dataset;
 use adj_faults::{install, CancelToken, FaultPlan, FaultSite};
 use adj_query::{paper_query, parse_query, Bindings, PaperQuery};
@@ -111,38 +111,20 @@ fn main() {
     let raw = adj.prepare(&q, &db, Strategy::CoOptimize).expect("prepare");
     let values: Vec<_> =
         hubs.iter().map(|&v| raw.bind(&Bindings::new().set("v", v)).expect("bind")).collect();
-    let tracer = Tracer::disabled();
+    let rows = || ExecRequest::new(OutputMode::Rows);
+    let manual = || ExecRequest { cancel: CancelToken::manual(), ..rows() };
     // One far-future deadline shared by the whole run: the cost under test
     // is the per-checkpoint clock read, not token construction.
-    let far = CancelToken::with_timeout(std::time::Duration::from_secs(3600));
+    let far = ExecRequest {
+        cancel: CancelToken::with_timeout(std::time::Duration::from_secs(3600)),
+        ..rows()
+    };
 
     // Verification pass (untimed): all three tokens produce identical rows.
     for vals in &values {
-        let a = adj
-            .execute_bound_cancellable(
-                &raw.plan,
-                &db,
-                OutputMode::Rows,
-                None,
-                vals,
-                &CancelToken::none(),
-                &tracer,
-            )
-            .expect("none side");
-        let b = adj
-            .execute_bound_cancellable(
-                &raw.plan,
-                &db,
-                OutputMode::Rows,
-                None,
-                vals,
-                &CancelToken::manual(),
-                &tracer,
-            )
-            .expect("manual side");
-        let c = adj
-            .execute_bound_cancellable(&raw.plan, &db, OutputMode::Rows, None, vals, &far, &tracer)
-            .expect("deadline side");
+        let a = adj.execute_prepared(&raw.plan, &db, vals, &rows()).expect("none side");
+        let b = adj.execute_prepared(&raw.plan, &db, vals, &manual()).expect("manual side");
+        let c = adj.execute_prepared(&raw.plan, &db, vals, &far).expect("deadline side");
         assert_eq!(a.0, b.0, "a live token must not change results");
         assert_eq!(a.0, c.0, "a deadline token must not change results");
     }
@@ -155,22 +137,11 @@ fn main() {
             deadline: Vec::with_capacity(reps),
         };
         for _ in 0..reps {
-            for (side, token) in
-                [(&mut m.none, CancelToken::none()), (&mut m.manual, CancelToken::manual())]
-            {
+            for (side, req) in [(&mut m.none, rows()), (&mut m.manual, manual())] {
                 let t0 = Instant::now();
                 for _ in 0..loops {
                     for vals in &values {
-                        adj.execute_bound_cancellable(
-                            &raw.plan,
-                            &db,
-                            OutputMode::Rows,
-                            None,
-                            vals,
-                            &token,
-                            &tracer,
-                        )
-                        .expect("timed pass");
+                        adj.execute_prepared(&raw.plan, &db, vals, &req).expect("timed pass");
                     }
                 }
                 side.push(t0.elapsed().as_secs_f64() / n);
@@ -178,16 +149,7 @@ fn main() {
             let t0 = Instant::now();
             for _ in 0..loops {
                 for vals in &values {
-                    adj.execute_bound_cancellable(
-                        &raw.plan,
-                        &db,
-                        OutputMode::Rows,
-                        None,
-                        vals,
-                        &far,
-                        &tracer,
-                    )
-                    .expect("timed pass");
+                    adj.execute_prepared(&raw.plan, &db, vals, &far).expect("timed pass");
                 }
             }
             m.deadline.push(t0.elapsed().as_secs_f64() / n);

@@ -9,6 +9,7 @@ use adj_cluster::{Cluster, ClusterConfig};
 use adj_core::{Adj, Strategy};
 use adj_datagen::Dataset;
 use adj_query::PaperQuery;
+use adj_relational::OutputMode;
 
 fn main() {
     let graph = Dataset::LJ.graph(scale());
@@ -48,7 +49,7 @@ fn main() {
             [("Comm-First", Strategy::CommFirst), ("Co-Opt", Strategy::CoOptimize)]
         {
             let adj = Adj::new(adj_config(w));
-            match adj.execute_with_strategy(&query, &db, strategy) {
+            match adj.execute_with(&query, &db, strategy, OutputMode::Rows) {
                 Ok(out) => rows.push(vec![
                     format!("{} {label}", q.name()),
                     format!("{:.3}", out.report.communication_secs),

@@ -18,7 +18,7 @@
 //! `ADJ_REPS` (default 3), `ADJ_BENCH_OUT` (default `BENCH_skew.json`).
 
 use adj_bench::{adj_config, print_table, workers};
-use adj_core::{fractional_max_cube_bound, Adj, AdjConfig, SkewConfig};
+use adj_core::{fractional_max_cube_bound, Adj, AdjConfig, SkewConfig, Strategy};
 use adj_datagen::{column_top_share, generate_zipf, ZipfConfig};
 use adj_hcube::ShareInput;
 use adj_query::{paper_query, PaperQuery};
@@ -106,7 +106,7 @@ fn main() {
         let q = paper_query(shape);
         let db = q.instantiate(&graph);
         let oracle = Adj::new(oracle_cfg.clone())
-            .execute_mode(&q, &db, OutputMode::Rows)
+            .execute_with(&q, &db, Strategy::CoOptimize, OutputMode::Rows)
             .expect("oracle run");
         let oracle_rows = oracle.rows();
 

@@ -14,7 +14,7 @@
 //! * `ADJ_BENCH_OUT` — output path (default `BENCH_streaming.json`).
 
 use adj_bench::{adj_config, print_table, scale, workers};
-use adj_core::{Adj, OutputMode, Strategy};
+use adj_core::{Adj, BoundValues, ExecRequest, OutputMode, Strategy};
 use adj_datagen::Dataset;
 use adj_query::{paper_query, PaperQuery};
 use adj_service::json::{array, JsonObject};
@@ -53,11 +53,15 @@ fn main() {
     for (label, mode) in modes {
         // One warmup, then the timed iterations; report the median so one
         // scheduler hiccup can't flip the comparison.
-        let _ = adj.execute_prepared(&plan, &db, mode).expect("warmup");
+        let _ = adj
+            .execute_prepared(&plan, &db, &BoundValues::none(), &ExecRequest::new(mode))
+            .expect("warmup");
         let mut secs: Vec<f64> = (0..iters)
             .map(|_| {
                 let t0 = Instant::now();
-                let (out, _) = adj.execute_prepared(&plan, &db, mode).expect("bench run");
+                let (out, _) = adj
+                    .execute_prepared(&plan, &db, &BoundValues::none(), &ExecRequest::new(mode))
+                    .expect("bench run");
                 let dt = t0.elapsed().as_secs_f64();
                 if mode == OutputMode::Rows {
                     output_tuples = out.rows().len() as u64;
@@ -68,7 +72,9 @@ fn main() {
         secs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = secs[secs.len() / 2];
         medians.push((label, mode, median));
-        let (out, _) = adj.execute_prepared(&plan, &db, mode).expect("stats run");
+        let (out, _) = adj
+            .execute_prepared(&plan, &db, &BoundValues::none(), &ExecRequest::new(mode))
+            .expect("stats run");
         returned_by_mode.push(out.tuples_returned());
         rows.push(vec![
             label.to_string(),

@@ -6,6 +6,7 @@ use adj_bench::{adj_config, print_table, scale, test_case, workers};
 use adj_core::{Adj, Strategy};
 use adj_datagen::Dataset;
 use adj_query::PaperQuery;
+use adj_relational::OutputMode;
 
 fn main() {
     let w = workers();
@@ -19,7 +20,7 @@ fn main() {
                 [("Co-Opt", Strategy::CoOptimize), ("Comm-First", Strategy::CommFirst)]
             {
                 let adj = Adj::new(adj_config(w));
-                match adj.execute_with_strategy(&query, &db, strategy) {
+                match adj.execute_with(&query, &db, strategy, OutputMode::Rows) {
                     Ok(out) => {
                         let r = &out.report;
                         rows.push(vec![

@@ -1,12 +1,12 @@
 //! Plan execution: pre-compute → shuffle → join, with the per-phase cost
 //! breakdown of Tables II–IV.
 //!
-//! [`execute_plan_cached`] additionally threads an
-//! [`IndexScope`] through *both* shuffle paths (the
-//! bag pre-computation rounds and the final one-round shuffle): warm
-//! relations reuse published `Arc<Trie>` handles instead of re-shuffling
-//! and rebuilding, warm bags skip their entire pre-computation round, and
-//! the report splits index work into built vs reused relations.
+//! [`execute_plan`] is the one entry; an [`ExecRequest`] carrying an
+//! [`IndexScope`] threads the cache through *both* shuffle paths (the bag
+//! pre-computation rounds and the final one-round shuffle): warm relations
+//! reuse published `Arc<Trie>` handles instead of re-shuffling and
+//! rebuilding, warm bags skip their entire pre-computation round, and the
+//! report splits index work into built vs reused relations.
 
 use crate::plan::{PlanRelation, QueryPlan};
 use crate::AdjConfig;
@@ -61,12 +61,13 @@ fn cancel_err(c: adj_faults::Cancelled) -> Error {
 }
 
 /// A [`RowSink`] adapter that polls a [`CancelToken`] (and the
-/// `JoinEnumerate` fault-injection site) every [`SINK_CHECK_EVERY`] rows,
-/// saturating when the token fires so Leapfrog stops enumerating instead of
-/// completing a doomed result. The worker re-checks the token after the
-/// join, so a stop here always surfaces as [`Error::Cancelled`] — never as
-/// a silently truncated result.
-struct CancelSink<'a, S> {
+/// `JoinEnumerate` fault-injection site) every `SINK_CHECK_EVERY` (1024)
+/// rows, saturating when the token fires so Leapfrog stops enumerating
+/// instead of completing a doomed result. Callers re-check the token after
+/// the join, so a stop here always surfaces as [`Error::Cancelled`] — never
+/// as a silently truncated result. Shared with the batched executor
+/// (`adj-batch`), whose per-binding sinks poll the same way.
+pub struct CancelSink<'a, S> {
     inner: S,
     cancel: &'a CancelToken,
     rows_since_check: u64,
@@ -74,11 +75,13 @@ struct CancelSink<'a, S> {
 }
 
 impl<'a, S: RowSink> CancelSink<'a, S> {
-    fn new(inner: S, cancel: &'a CancelToken) -> Self {
+    /// Wraps `inner`, polling `cancel`.
+    pub fn new(inner: S, cancel: &'a CancelToken) -> Self {
         CancelSink { inner, cancel, rows_since_check: 0, stopped: false }
     }
 
-    fn into_inner(self) -> S {
+    /// The wrapped sink.
+    pub fn into_inner(self) -> S {
         self.inner
     }
 }
@@ -262,11 +265,55 @@ impl ExecutionReport {
     }
 }
 
-/// Executes a query plan on the cluster, shaping the result by `mode`, and
+/// What one plan execution is asked for beyond the plan itself: the output
+/// mode, the cross-query index cache scope, the cooperative cancel token
+/// and the span recorder. [`ExecRequest::new`] is the plain cold request
+/// (no cache, never cancels, no trace); set the other fields directly:
+///
+/// ```
+/// # use adj_core::{ExecRequest, OutputMode, Tracer};
+/// let traced = ExecRequest { tracer: Tracer::new(1024), ..ExecRequest::new(OutputMode::Count) };
+/// # assert!(traced.tracer.enabled());
+/// ```
+///
+/// [`CancelToken::none`] and [`Tracer::disabled`] hold no allocation, so
+/// the defaults cost one branch per checkpoint.
+#[derive(Debug, Clone)]
+pub struct ExecRequest<'a> {
+    /// How the result is shaped and gathered (see [`execute_plan`]).
+    pub mode: OutputMode,
+    /// The cross-query index cache: warm relations join over the cache's
+    /// `Arc<Trie>` handles (skipping their shuffle + sort + build), warm
+    /// bags skip their whole pre-computation round, and cold artifacts are
+    /// built once and published. `None` runs fully cold.
+    pub index: Option<IndexScope<'a>>,
+    /// Polled at every fault-injection checkpoint — per cold atom and every
+    /// few thousand routed rows in the shuffle, per worker and every
+    /// `SINK_CHECK_EVERY` (1024) emitted rows during join enumeration — so
+    /// a fired token (explicit cancel or elapsed deadline) aborts within a
+    /// bounded amount of work and surfaces as [`Error::Cancelled`].
+    pub cancel: CancelToken,
+    /// Records the execution's span timeline: a `precompute` span per bag
+    /// round (`bag_cache_hit` instants for rounds the bag cache skipped),
+    /// the shuffle's own spans (see [`hcube_shuffle_cached_traced`]), a
+    /// `computation` span over the worker dispatch with one `join` span per
+    /// worker lane, and a `gather` span over the merge.
+    pub tracer: Tracer,
+}
+
+impl ExecRequest<'_> {
+    /// A cold, uncancellable, untraced request for `mode`.
+    pub fn new(mode: OutputMode) -> Self {
+        ExecRequest { mode, index: None, cancel: CancelToken::none(), tracer: Tracer::disabled() }
+    }
+}
+
+/// Executes a query plan on the cluster under `params` and `req`, and
 /// returns the output plus the cost breakdown (with `optimization_secs`
 /// left at 0 for the caller).
 ///
-/// The mode governs what each worker ships back through the gather path:
+/// The request's mode governs what each worker ships back through the
+/// gather path:
 ///
 /// * [`OutputMode::Rows`] — every worker buffers its result rows (under the
 ///   `max_intermediate_tuples` budget) and the coordinator gathers them
@@ -281,62 +328,9 @@ impl ExecutionReport {
 ///   worker, so the concatenation is duplicate-free);
 /// * [`OutputMode::Exists`] — workers short-circuit at their first witness
 ///   and ship back counters only.
-pub fn execute_plan(
-    cluster: &Cluster,
-    db: &Database,
-    plan: &QueryPlan,
-    config: &AdjConfig,
-    mode: OutputMode,
-) -> Result<(QueryOutput, ExecutionReport)> {
-    execute_plan_cached(cluster, db, plan, config, mode, None)
-}
-
-/// The stable cache identity of a pre-computed bag: member atom names plus
-/// the bag's attribute order fully determine its contents against a given
-/// database epoch, so distinct plans that pre-compute the same bag share
-/// one cached artifact — and the ambiguous per-query storage name
-/// (`ADJ_bag{v}`) never leaks into a cache key. Names are length-prefixed
-/// so no choice of relation names (commas included) can collide two
-/// distinct member lists onto one label. When an [`IndexScope`] is present,
-/// the members' delta-sequence digest is folded in, so a bag goes stale
-/// exactly when one of *its* relations mutates — mutations elsewhere in the
-/// database leave it warm (the per-relation replacement for the global
-/// epoch bump).
-fn bag_label(names: &[String], order: &[Attr], index: Option<&IndexScope<'_>>) -> String {
-    let mut label = String::from("adj-bag:");
-    for n in names {
-        label.push_str(&format!("{}:{n},", n.len()));
-    }
-    label.push_str(&format!("@{order:?}"));
-    if let Some(scope) = index {
-        let digest = scope.version_digest(names.iter().map(|s| s.as_str()));
-        label.push_str(&format!("#v{digest:016x}"));
-    }
-    label
-}
-
-/// [`execute_plan`] with a cross-query index cache: warm relations join
-/// over the cache's `Arc<Trie>` handles (skipping their shuffle + sort +
-/// build), warm bags skip their whole pre-computation round, and cold
-/// artifacts are built once and published. Pass `None` to run fully cold.
 ///
-/// Inline literal constants in the plan's query are honoured automatically
-/// (they resolve without a binding); `$name` parameters make this error
-/// with [`Error::UnboundParam`] — supply their values through
-/// [`execute_plan_bound`].
-pub fn execute_plan_cached(
-    cluster: &Cluster,
-    db: &Database,
-    plan: &QueryPlan,
-    config: &AdjConfig,
-    mode: OutputMode,
-    index: Option<&IndexScope<'_>>,
-) -> Result<(QueryOutput, ExecutionReport)> {
-    execute_plan_bound(cluster, db, plan, config, mode, index, &BoundValues::none())
-}
-
-/// The general executor: [`execute_plan_cached`] plus a set of bound
-/// parameter values. The full binding — the query's inline literals merged
+/// `params` carries bound parameter values ([`BoundValues::none`] for an
+/// unbound run). The full binding — the plan query's inline literals merged
 /// with `params` — pushes selections down every layer:
 ///
 /// * the **share program** drops bound attributes from the dimension grid
@@ -350,78 +344,24 @@ pub fn execute_plan_cached(
 ///   intersecting candidate runs.
 ///
 /// Results are byte-identical to running the unbound query and keeping the
-/// rows whose bound attributes equal the bound values.
-pub fn execute_plan_bound(
-    cluster: &Cluster,
-    db: &Database,
-    plan: &QueryPlan,
-    config: &AdjConfig,
-    mode: OutputMode,
-    index: Option<&IndexScope<'_>>,
-    params: &BoundValues,
-) -> Result<(QueryOutput, ExecutionReport)> {
-    execute_plan_traced(cluster, db, plan, config, mode, index, params, &Tracer::disabled())
-}
-
-/// [`execute_plan_bound`] recording a span timeline: a `precompute` span
-/// per bag round (`bag_cache_hit` instants for rounds the bag cache
-/// skipped), the shuffle's own spans (see
-/// [`hcube_shuffle_cached_traced`]), a `computation` span over the worker
-/// dispatch with one `join` span per worker lane (annotated with that
-/// worker's output tuples and trie-operation counts), and a `gather` span
-/// over the merge. With a disabled tracer this is exactly
-/// [`execute_plan_bound`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_traced(
-    cluster: &Cluster,
-    db: &Database,
-    plan: &QueryPlan,
-    config: &AdjConfig,
-    mode: OutputMode,
-    index: Option<&IndexScope<'_>>,
-    params: &BoundValues,
-    tracer: &Tracer,
-) -> Result<(QueryOutput, ExecutionReport)> {
-    execute_plan_cancellable(
-        cluster,
-        db,
-        plan,
-        config,
-        mode,
-        index,
-        params,
-        &CancelToken::none(),
-        tracer,
-    )
-}
-
-/// The fully general executor: [`execute_plan_traced`] plus a cooperative
-/// [`CancelToken`].
+/// rows whose bound attributes equal the bound values; a `$name` parameter
+/// left without a value errors with [`Error::UnboundParam`].
 ///
-/// The token is polled at every fault-injection checkpoint of the execution
-/// — per cold atom and every few thousand routed rows in the shuffle, per
-/// worker and every `SINK_CHECK_EVERY` (1024) emitted rows during join
-/// enumeration — so a fired token (explicit cancel or elapsed deadline)
-/// aborts within a bounded amount of work and surfaces as
-/// [`Error::Cancelled`]. A cancelled execution never publishes partial
-/// artifacts: the shuffle checks the token before inserting into the index
-/// cache, and bag publication happens only after its round completed.
-/// Worker panics are likewise isolated per slot
-/// ([`adj_cluster::WorkerFailure`]) and surface as
+/// A cancelled execution never publishes partial artifacts: the shuffle
+/// checks the token before inserting into the index cache, and bag
+/// publication happens only after its round completed. Worker panics are
+/// isolated per slot ([`adj_cluster::WorkerFailure`]) and surface as
 /// [`Error::WorkerPanicked`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_cancellable(
+pub fn execute_plan(
     cluster: &Cluster,
     db: &Database,
     plan: &QueryPlan,
     config: &AdjConfig,
-    mode: OutputMode,
-    index: Option<&IndexScope<'_>>,
     params: &BoundValues,
-    cancel: &CancelToken,
-    tracer: &Tracer,
+    req: &ExecRequest<'_>,
 ) -> Result<(QueryOutput, ExecutionReport)> {
     let t_exec = Instant::now();
+    let ExecRequest { mode, ref cancel, ref tracer, .. } = *req;
     // Pin the worker width for the whole execution: while this guard is
     // live, `Cluster::resize` is rejected, so every phase below sees one
     // consistent `num_workers()`.
@@ -435,13 +375,7 @@ pub fn execute_plan_cancellable(
     // `R1(9,b)…`, and `R1($v,b)…` all resolve to one cached plan, and the
     // submission's values, not the plan-owner's, are what this execution
     // must answer for.
-    let mut pairs = params.pairs().to_vec();
-    for &(a, v) in plan.query.const_bindings()?.pairs() {
-        if params.get(a).is_none() {
-            pairs.push((a, v));
-        }
-    }
-    let bound = BoundValues::new(pairs)?;
+    let bound = params.with_defaults(&plan.query.const_bindings()?)?;
     // Every bound position of the shape must have a value by now.
     for (name, attr) in plan.query.param_attrs() {
         if bound.get(attr).is_none() {
@@ -463,8 +397,7 @@ pub fn execute_plan_cancellable(
         return Ok((QueryOutput::Rows(Relation::empty(schema)), report));
     }
 
-    let locals =
-        prepare_plan_locals(cluster, db, plan, config, index, &bound, &mut report, cancel, tracer)?;
+    let locals = prepare_plan_locals(cluster, db, plan, config, req, &bound, &mut report)?;
 
     let budget = config.max_intermediate_tuples;
     let order = &plan.order;
@@ -556,27 +489,7 @@ pub fn execute_plan_cancellable(
     let found_tuples = counters.output_tuples;
     report.output_tuples = found_tuples;
     report.counters = counters;
-    let output = match mode {
-        OutputMode::Rows => {
-            let schema = Schema::new(plan.order.clone())?;
-            QueryOutput::Rows(Relation::from_flat(schema, all_rows)?)
-        }
-        OutputMode::Limit(n) => {
-            // Each worker contributed its n lexicographically-smallest
-            // local rows (Leapfrog enumerates in sorted order), so the
-            // union contains the n globally-smallest result rows.
-            // Normalizing and keeping the first n therefore returns a
-            // *canonical* sample — deterministic across worker counts and
-            // partitionings, not an artifact of gather order.
-            let schema = Schema::new(plan.order.clone())?;
-            let gathered = Relation::from_flat(schema.clone(), all_rows)?;
-            let keep = n.min(gathered.len());
-            let flat = gathered.flat()[..keep * width].to_vec();
-            QueryOutput::Rows(Relation::from_flat(schema, flat)?)
-        }
-        OutputMode::Count => QueryOutput::Count(found_tuples),
-        OutputMode::Exists => QueryOutput::Exists(found_tuples > 0),
-    };
+    let output = shape_output(&plan.order, mode, all_rows, found_tuples)?;
     // Whatever the phase columns did not claim of the measured execution
     // wall is the residual — see `ExecutionReport::other_secs` for why it
     // clamps at 0.
@@ -588,30 +501,85 @@ pub fn execute_plan_cancellable(
     Ok((output, report))
 }
 
+/// Shapes what the workers shipped back into `mode`'s answer over the
+/// plan's attribute `order`: `rows` is the gathered flat row data
+/// (`Rows`/`Limit`), `found` the summed per-worker result count that
+/// `Count`/`Exists` answer from. Shared with the batched executor
+/// (`adj-batch`), which shapes each binding's answer the same way.
+///
+/// Under `Limit(n)` each worker contributed its n lexicographically
+/// smallest local rows (Leapfrog enumerates in sorted order), so the union
+/// contains the n globally smallest result rows. Normalizing and keeping
+/// the first n therefore returns a *canonical* sample — deterministic
+/// across worker counts and partitionings, not an artifact of gather order.
+pub fn shape_output(
+    order: &[Attr],
+    mode: OutputMode,
+    rows: Vec<Value>,
+    found: u64,
+) -> Result<QueryOutput> {
+    Ok(match mode {
+        OutputMode::Rows => {
+            QueryOutput::Rows(Relation::from_flat(Schema::new(order.to_vec())?, rows)?)
+        }
+        OutputMode::Limit(n) => {
+            let gathered = Relation::from_flat(Schema::new(order.to_vec())?, rows)?;
+            let keep = n.min(gathered.len()) * order.len();
+            let sample = gathered.flat()[..keep].to_vec();
+            QueryOutput::Rows(Relation::from_flat(gathered.schema().clone(), sample)?)
+        }
+        OutputMode::Count => QueryOutput::Count(found),
+        OutputMode::Exists => QueryOutput::Exists(found > 0),
+    })
+}
+
+/// The stable cache identity of a pre-computed bag: member atom names plus
+/// the bag's attribute order fully determine its contents against a given
+/// database epoch, so distinct plans that pre-compute the same bag share
+/// one cached artifact — and the ambiguous per-query storage name
+/// (`ADJ_bag{v}`) never leaks into a cache key. Names are length-prefixed
+/// so no choice of relation names (commas included) can collide two
+/// distinct member lists onto one label. When an [`IndexScope`] is present,
+/// the members' delta-sequence digest is folded in, so a bag goes stale
+/// exactly when one of *its* relations mutates — mutations elsewhere in the
+/// database leave it warm (the per-relation replacement for the global
+/// epoch bump).
+fn bag_label(names: &[String], order: &[Attr], index: Option<&IndexScope<'_>>) -> String {
+    let mut label = String::from("adj-bag:");
+    for n in names {
+        label.push_str(&format!("{}:{n},", n.len()));
+    }
+    label.push_str(&format!("@{order:?}"));
+    if let Some(scope) = index {
+        let digest = scope.version_digest(names.iter().map(|s| s.as_str()));
+        label.push_str(&format!("#v{digest:016x}"));
+    }
+    label
+}
+
 /// Phases 1–2 of plan execution: pre-computes (or reuses) the plan's bag
 /// relations and runs the final HCube shuffle, returning every worker's
 /// local tries ready for Leapfrog. The pre-compute and communication
 /// columns (plus cache/fill counters) accumulate into `report`.
 ///
-/// This is the shared front half of [`execute_plan_cancellable`], public so
-/// batched execution (`adj-batch`) can shuffle a prepared query **once** —
-/// with an empty `bound`, keeping every relation index-cacheable — and then
-/// run many bound joins over the same locals. Callers must hold
-/// [`Cluster::begin_query`] across this call *and* every join over the
-/// returned locals, so the worker width stays pinned for the whole
-/// execution.
-#[allow(clippy::too_many_arguments)]
+/// This is the shared front half of [`execute_plan`], public so batched
+/// execution (`adj-batch`) can shuffle a prepared query **once** — with an
+/// empty `bound`, keeping every relation index-cacheable — and then run
+/// many bound joins over the same locals. `req.mode` is not consulted.
+/// Callers must hold [`Cluster::begin_query`] across this call *and* every
+/// join over the returned locals, so the worker width stays pinned for the
+/// whole execution.
 pub fn prepare_plan_locals(
     cluster: &Cluster,
     db: &Database,
     plan: &QueryPlan,
     config: &AdjConfig,
-    index: Option<&IndexScope<'_>>,
+    req: &ExecRequest<'_>,
     bound: &BoundValues,
     report: &mut ExecutionReport,
-    cancel: &CancelToken,
-    tracer: &Tracer,
 ) -> Result<Vec<Vec<LocalRelation>>> {
+    let index = req.index.as_ref();
+    let (cancel, tracer) = (&req.cancel, &req.tracer);
     // Per-query pre-computed bags are layered over the shared database as
     // an overlay of `Arc<Relation>` handles — the database itself is never
     // cloned per query. Also records each bag's content label, reused as
@@ -674,10 +642,8 @@ pub fn prepare_plan_locals(
         if bag_span.is_recording() {
             bag_span.detail(label.clone());
         }
-        let (result, secs, tuples) = run_one_round(
-            cluster, db, &names, &bag_order, config, index, &plan.hot, bound, report, cancel,
-            tracer,
-        )?;
+        let (result, secs, tuples) =
+            run_one_round(cluster, db, &names, &bag_order, config, &plan.hot, bound, report, req)?;
         bag_span.arg("tuples", tuples);
         bag_span.arg("result_tuples", result.len() as u64);
         drop(bag_span);
@@ -764,13 +730,12 @@ fn run_one_round(
     names: &[String],
     order: &[Attr],
     config: &AdjConfig,
-    index: Option<&IndexScope<'_>>,
     hot: &HotValues,
     bound: &BoundValues,
     report: &mut ExecutionReport,
-    cancel: &CancelToken,
-    tracer: &Tracer,
+    req: &ExecRequest<'_>,
 ) -> Result<(Relation, f64, u64)> {
+    let (cancel, tracer) = (&req.cancel, &req.tracer);
     let num_attrs = order.iter().map(|a| a.index() + 1).max().unwrap_or(1);
     let (_, hplan) = share_for(db, &[], names, num_attrs, cluster, hot, bound.mask())?;
     let cache_ids: Vec<Option<String>> = names.iter().map(|n| Some(n.clone())).collect();
@@ -781,7 +746,7 @@ fn run_one_round(
         &hplan,
         order,
         HCubeImpl::Merge,
-        index,
+        req.index.as_ref(),
         &cache_ids,
         &[],
         hot,
@@ -904,6 +869,30 @@ mod tests {
         q.instantiate(&Relation::from_pairs(Attr(0), Attr(1), &edges))
     }
 
+    /// A cold, unbound execution of `plan` under `mode`.
+    fn run(
+        cluster: &Cluster,
+        db: &Database,
+        plan: &QueryPlan,
+        cfg: &AdjConfig,
+        mode: OutputMode,
+    ) -> Result<(QueryOutput, ExecutionReport)> {
+        execute_plan(cluster, db, plan, cfg, &BoundValues::none(), &ExecRequest::new(mode))
+    }
+
+    /// [`run`] under an index-cache scope.
+    fn run_cached(
+        cluster: &Cluster,
+        db: &Database,
+        plan: &QueryPlan,
+        cfg: &AdjConfig,
+        mode: OutputMode,
+        scope: IndexScope<'_>,
+    ) -> Result<(QueryOutput, ExecutionReport)> {
+        let req = ExecRequest { index: Some(scope), ..ExecRequest::new(mode) };
+        execute_plan(cluster, db, plan, cfg, &BoundValues::none(), &req)
+    }
+
     fn truth(db: &Database, q: &adj_query::JoinQuery) -> Relation {
         let mut it = q.atoms.iter();
         let first = it.next().unwrap();
@@ -921,7 +910,7 @@ mod tests {
         let cfg = AdjConfig { cluster: ClusterConfig::with_workers(4), ..Default::default() };
         let cluster = Cluster::new(cfg.cluster.clone());
         let plan = optimize(&q, &db, &cfg, Strategy::CoOptimize).unwrap();
-        let (out, report) = execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
+        let (out, report) = run(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
         let result = out.rows();
         let t = truth(&db, &q);
         assert_eq!(result.len(), t.len());
@@ -936,18 +925,18 @@ mod tests {
         let cfg = AdjConfig { cluster: ClusterConfig::with_workers(4), ..Default::default() };
         let cluster = Cluster::new(cfg.cluster.clone());
         let plan = optimize(&q, &db, &cfg, Strategy::CoOptimize).unwrap();
-        let (rows, _) = execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
+        let (rows, _) = run(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
         let full = rows.rows();
 
-        let (count, crep) = execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Count).unwrap();
+        let (count, crep) = run(&cluster, &db, &plan, &cfg, OutputMode::Count).unwrap();
         assert_eq!(count, QueryOutput::Count(full.len() as u64));
         assert_eq!(crep.output_tuples as usize, full.len());
 
-        let (exists, _) = execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Exists).unwrap();
+        let (exists, _) = run(&cluster, &db, &plan, &cfg, OutputMode::Exists).unwrap();
         assert_eq!(exists, QueryOutput::Exists(!full.is_empty()));
 
         let n = 5usize;
-        let (limited, _) = execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Limit(n)).unwrap();
+        let (limited, _) = run(&cluster, &db, &plan, &cfg, OutputMode::Limit(n)).unwrap();
         let sample = limited.rows();
         assert_eq!(sample.len(), n.min(full.len()));
         for row in sample.rows() {
@@ -980,7 +969,7 @@ mod tests {
         if !adj_query::order::is_valid_order(&plan.tree, &plan.order) {
             plan.order = adj_query::order::valid_orders(&plan.tree)[0].clone();
         }
-        let (out, report) = execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
+        let (out, report) = run(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
         assert!(report.precompute_secs > 0.0);
         assert!(report.precompute_tuples > 0);
         let t = truth(&db, &q);
@@ -989,7 +978,7 @@ mod tests {
 
     #[test]
     fn warm_precompute_reuses_bags_and_tries() {
-        use adj_hcube::{IndexCache, IndexScope};
+        use adj_hcube::IndexCache;
         // Force pre-computation (as precompute_phase_populates_report does)
         // so the bag-cache path is exercised.
         let q = paper_query(PaperQuery::Q4);
@@ -1014,15 +1003,13 @@ mod tests {
         let cache = IndexCache::new(64 << 20);
         let scope = IndexScope { cache: &cache, db_tag: 9, epoch: 0, versions: &[] };
         let (cold_out, cold_rep) =
-            execute_plan_cached(&cluster, &db, &plan, &cfg, OutputMode::Rows, Some(&scope))
-                .unwrap();
+            run_cached(&cluster, &db, &plan, &cfg, OutputMode::Rows, scope).unwrap();
         assert!(cold_rep.precompute_secs > 0.0);
         assert_eq!(cold_rep.index_bags_reused, 0);
         assert!(cold_rep.index_relations_built > 0);
 
         let (warm_out, warm_rep) =
-            execute_plan_cached(&cluster, &db, &plan, &cfg, OutputMode::Rows, Some(&scope))
-                .unwrap();
+            run_cached(&cluster, &db, &plan, &cfg, OutputMode::Rows, scope).unwrap();
         assert_eq!(cold_out, warm_out, "warm bag reuse must be byte-identical");
         assert!(warm_rep.index_bags_reused > 0, "the pre-computed bag must come from the cache");
         assert_eq!(warm_rep.index_relations_built, 0);
@@ -1033,14 +1020,13 @@ mod tests {
         // Budget parity: a cached bag over a smaller caller budget errors
         // exactly like the cold path's post-round size check.
         let tiny = AdjConfig { max_intermediate_tuples: 1, ..cfg.clone() };
-        let err = execute_plan_cached(&cluster, &db, &plan, &tiny, OutputMode::Count, Some(&scope))
-            .unwrap_err();
+        let err = run_cached(&cluster, &db, &plan, &tiny, OutputMode::Count, scope).unwrap_err();
         assert!(matches!(err, Error::BudgetExceeded { .. }));
     }
 
     #[test]
     fn per_relation_versions_invalidate_only_the_mutated_relation() {
-        use adj_hcube::{IndexCache, IndexScope};
+        use adj_hcube::IndexCache;
         let q = paper_query(PaperQuery::Q1);
         let db = db_for(&q, 150, 23);
         let cfg = AdjConfig { cluster: ClusterConfig::with_workers(4), ..Default::default() };
@@ -1048,9 +1034,7 @@ mod tests {
         let plan = optimize(&q, &db, &cfg, Strategy::CommFirst).unwrap();
         let cache = IndexCache::new(64 << 20);
         let scope = IndexScope { cache: &cache, db_tag: 9, epoch: 0, versions: &[] };
-        let (_, cold) =
-            execute_plan_cached(&cluster, &db, &plan, &cfg, OutputMode::Count, Some(&scope))
-                .unwrap();
+        let (_, cold) = run_cached(&cluster, &db, &plan, &cfg, OutputMode::Count, scope).unwrap();
         let atoms = cold.index_relations_built;
         assert!(atoms > 0);
 
@@ -1059,9 +1043,7 @@ mod tests {
         let name = q.atoms[0].name.clone();
         let versions = vec![(name, 1u64)];
         let bumped = IndexScope { cache: &cache, db_tag: 9, epoch: 0, versions: &versions };
-        let (_, rep) =
-            execute_plan_cached(&cluster, &db, &plan, &cfg, OutputMode::Count, Some(&bumped))
-                .unwrap();
+        let (_, rep) = run_cached(&cluster, &db, &plan, &cfg, OutputMode::Count, bumped).unwrap();
         assert_eq!(rep.index_relations_built, 1, "only the mutated relation rebuilds");
         assert_eq!(rep.index_relations_reused, atoms - 1);
     }
@@ -1077,10 +1059,10 @@ mod tests {
         };
         let cluster = Cluster::new(cfg.cluster.clone());
         let plan = optimize(&q, &db, &cfg, Strategy::CommFirst).unwrap();
-        let err = execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap_err();
+        let err = run(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap_err();
         assert!(matches!(err, Error::BudgetExceeded { .. }));
         // Count mode never buffers rows, so the same tiny cap passes.
-        let (out, _) = execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Count).unwrap();
+        let (out, _) = run(&cluster, &db, &plan, &cfg, OutputMode::Count).unwrap();
         assert!(matches!(out, QueryOutput::Count(_)));
     }
 

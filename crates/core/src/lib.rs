@@ -18,10 +18,14 @@
 //! the lowest combined cost, using sampling-based cardinality estimates
 //! (`adj-sampling`).
 //!
-//! Entry point: [`Adj`] (configure once, [`Adj::execute`] per query, or
-//! [`Adj::execute_mode`] for `Count`/`Limit(n)`/`Exists` outputs that skip
-//! full materialization), or the lower-level [`optimizer::optimize`] +
-//! [`executor::execute_plan`] pair.
+//! Entry points: [`Adj`] — configure once, then [`Adj::execute`] per query,
+//! [`Adj::execute_with`] for an explicit [`Strategy`] and [`OutputMode`]
+//! (`Count`/`Limit(n)`/`Exists` skip full materialization),
+//! [`Adj::execute_bound`] for one binding of a [`Prepared`] statement, and
+//! [`Adj::execute_prepared`] to run an existing plan — or the lower-level
+//! [`optimizer::optimize`] + [`executor::execute_plan`] pair. Every plan
+//! execution goes through [`executor::execute_plan`] with one
+//! [`ExecRequest`] (output mode, index-cache scope, cancel token, tracer).
 
 pub mod cost;
 pub mod executor;
@@ -32,13 +36,13 @@ pub mod yannakakis;
 
 pub use cost::{fractional_max_cube_bound, CostEstimator, CostParams};
 pub use executor::{
-    execute_plan, execute_plan_bound, execute_plan_cached, execute_plan_cancellable,
-    execute_plan_traced, prepare_plan_locals, ExecutionReport, Strategy,
+    execute_plan, prepare_plan_locals, shape_output, CancelSink, ExecRequest, ExecutionReport,
+    Strategy,
 };
 pub use optimizer::optimize;
 pub use plan::{PlanRelation, QueryPlan};
 pub use prepared::Prepared;
-pub use yannakakis::{yannakakis, yannakakis_cached, YannakakisReport};
+pub use yannakakis::{yannakakis, YannakakisReport};
 // The cross-query index cache (defined in `adj-hcube`, where the shuffle
 // consults it) is part of this crate's public execution API too.
 pub use adj_hcube::{HotValues, IndexCache, IndexCacheStats, IndexScope};
@@ -173,34 +177,14 @@ impl Adj {
     /// ADJ proper): optimize → pre-compute → shuffle → join, materializing
     /// the full result ([`OutputMode::Rows`]).
     pub fn execute(&self, query: &JoinQuery, db: &Database) -> Result<AdjOutcome> {
-        self.execute_with_strategy(query, db, Strategy::CoOptimize)
-    }
-
-    /// Runs `query` with an explicit output mode: `Count`/`Exists` never
-    /// gather result tuples (workers ship counters only), `Limit(n)`
-    /// short-circuits each worker's enumeration after `n` rows.
-    pub fn execute_mode(
-        &self,
-        query: &JoinQuery,
-        db: &Database,
-        mode: OutputMode,
-    ) -> Result<AdjOutcome> {
-        self.execute_with(query, db, Strategy::CoOptimize, mode)
+        self.execute_with(query, db, Strategy::CoOptimize, OutputMode::Rows)
     }
 
     /// Runs `query` with an explicit strategy ([`Strategy::CommFirst`] is
     /// the HCubeJ-style communication-first plan used as the paper's
-    /// baseline in Tables II–IV), materializing the full result.
-    pub fn execute_with_strategy(
-        &self,
-        query: &JoinQuery,
-        db: &Database,
-        strategy: Strategy,
-    ) -> Result<AdjOutcome> {
-        self.execute_with(query, db, strategy, OutputMode::Rows)
-    }
-
-    /// The general form: explicit strategy *and* output mode.
+    /// baseline in Tables II–IV) and output mode: `Count`/`Exists` never
+    /// gather result tuples (workers ship counters only), `Limit(n)`
+    /// short-circuits each worker's enumeration after `n` rows.
     pub fn execute_with(
         &self,
         query: &JoinQuery,
@@ -209,7 +193,8 @@ impl Adj {
         mode: OutputMode,
     ) -> Result<AdjOutcome> {
         let plan = self.plan(query, db, strategy)?;
-        let (output, report) = self.execute_prepared(&plan, db, mode)?;
+        let (output, report) =
+            self.execute_prepared(&plan, db, &BoundValues::none(), &ExecRequest::new(mode))?;
         Ok(AdjOutcome { output, mode, plan, report })
     }
 
@@ -227,99 +212,28 @@ impl Adj {
         Ok(plan)
     }
 
-    /// Executes an already-constructed plan, borrowed — so a cached plan
-    /// can be re-executed any number of times (and under any output mode:
-    /// plans are mode-independent) without cloning it. The returned report
-    /// charges the plan's recorded optimization seconds, so a first
-    /// execution reproduces [`Adj::execute`] exactly; callers re-executing
-    /// a cached plan should zero `report.optimization_secs` (as
-    /// `adj-service` does on cache hits) since the search cost was paid
-    /// only once.
+    /// Executes an already-constructed plan on this instance's cluster —
+    /// [`executor::execute_plan`] under `params` and `req` (output mode,
+    /// index-cache scope, cancel token, tracer). The plan is borrowed, so a
+    /// cached plan can be re-executed any number of times, under any output
+    /// mode (plans are mode-independent) and any binding, without cloning
+    /// it. This is the serving hot path: `adj-service` pairs its plan cache
+    /// with an [`IndexCache`] scope and a deadline token here.
+    ///
+    /// The returned report charges the plan's recorded optimization
+    /// seconds, so a first execution reproduces [`Adj::execute`] exactly;
+    /// callers re-executing a cached plan should zero
+    /// `report.optimization_secs` (as `adj-service` does on cache hits)
+    /// since the search cost was paid only once.
     pub fn execute_prepared(
         &self,
         plan: &QueryPlan,
         db: &Database,
-        mode: OutputMode,
-    ) -> Result<(QueryOutput, ExecutionReport)> {
-        self.execute_prepared_cached(plan, db, mode, None)
-    }
-
-    /// [`Adj::execute_prepared`] with a cross-query index cache scope:
-    /// relations whose shuffled indexes (or pre-computed bags) are warm in
-    /// the cache for the scope's database epoch are reused instead of
-    /// re-shuffled and rebuilt. This is the serving hot path —
-    /// `adj-service` pairs its plan cache with an
-    /// [`IndexCache`] here.
-    pub fn execute_prepared_cached(
-        &self,
-        plan: &QueryPlan,
-        db: &Database,
-        mode: OutputMode,
-        index: Option<&IndexScope<'_>>,
-    ) -> Result<(QueryOutput, ExecutionReport)> {
-        self.execute_bound_cached(plan, db, mode, index, &BoundValues::none())
-    }
-
-    /// The bound serving hot path: [`Adj::execute_prepared_cached`] plus a
-    /// resolved set of parameter values (see
-    /// [`executor::execute_plan_bound`] for how the binding pushes
-    /// selections down the shuffle, the share program, and Leapfrog).
-    pub fn execute_bound_cached(
-        &self,
-        plan: &QueryPlan,
-        db: &Database,
-        mode: OutputMode,
-        index: Option<&IndexScope<'_>>,
         params: &BoundValues,
+        req: &ExecRequest<'_>,
     ) -> Result<(QueryOutput, ExecutionReport)> {
-        self.execute_bound_traced(plan, db, mode, index, params, &Tracer::disabled())
-    }
-
-    /// [`Adj::execute_bound_cached`] recording a span timeline into
-    /// `tracer`: the executor's phase spans on the coordinator lane plus
-    /// one lane per cluster worker (see
-    /// [`executor::execute_plan_traced`]). With a disabled tracer this is
-    /// exactly [`Adj::execute_bound_cached`].
-    pub fn execute_bound_traced(
-        &self,
-        plan: &QueryPlan,
-        db: &Database,
-        mode: OutputMode,
-        index: Option<&IndexScope<'_>>,
-        params: &BoundValues,
-        tracer: &Tracer,
-    ) -> Result<(QueryOutput, ExecutionReport)> {
-        self.execute_bound_cancellable(plan, db, mode, index, params, &CancelToken::none(), tracer)
-    }
-
-    /// [`Adj::execute_bound_traced`] plus a cooperative [`CancelToken`]:
-    /// the token is polled throughout the shuffle's routing loops and the
-    /// workers' join enumeration, so a fired token (explicit cancel or
-    /// elapsed deadline) aborts within a bounded amount of work with
-    /// [`adj_relational::Error::Cancelled`] and never publishes partial
-    /// cache artifacts. This is the serving layer's deadline hook.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_bound_cancellable(
-        &self,
-        plan: &QueryPlan,
-        db: &Database,
-        mode: OutputMode,
-        index: Option<&IndexScope<'_>>,
-        params: &BoundValues,
-        cancel: &CancelToken,
-        tracer: &Tracer,
-    ) -> Result<(QueryOutput, ExecutionReport)> {
-        let (output, mut report) = executor::execute_plan_cancellable(
-            &self.cluster,
-            db,
-            plan,
-            &self.config,
-            mode,
-            index,
-            params,
-            cancel,
-            tracer,
-        )?;
+        let (output, mut report) =
+            executor::execute_plan(&self.cluster, db, plan, &self.config, params, req)?;
         report.optimization_secs = plan.optimization_secs;
         Ok((output, report))
     }
@@ -352,7 +266,7 @@ impl Adj {
     ) -> Result<AdjOutcome> {
         let values = prepared.bind(bindings)?;
         let (output, report) =
-            self.execute_bound_cached(&prepared.plan, db, mode, None, &values)?;
+            self.execute_prepared(&prepared.plan, db, &values, &ExecRequest::new(mode))?;
         Ok(AdjOutcome { output, mode, plan: prepared.plan.clone(), report })
     }
 }
@@ -397,8 +311,8 @@ mod tests {
         let g = graph(120, 31);
         let db = q.instantiate(&g);
         let adj = Adj::with_workers(4);
-        let co = adj.execute_with_strategy(&q, &db, Strategy::CoOptimize).unwrap();
-        let cf = adj.execute_with_strategy(&q, &db, Strategy::CommFirst).unwrap();
+        let co = adj.execute_with(&q, &db, Strategy::CoOptimize, OutputMode::Rows).unwrap();
+        let cf = adj.execute_with(&q, &db, Strategy::CommFirst, OutputMode::Rows).unwrap();
         assert_eq!(co.rows().len(), cf.rows().len(), "strategies must agree on the result");
         let a = co.rows().permute(cf.rows().schema().attrs()).unwrap();
         assert_eq!(a, cf.rows().clone());
@@ -411,10 +325,10 @@ mod tests {
         let db = q.instantiate(&g);
         let adj = Adj::with_workers(4);
         let full = adj.execute(&q, &db).unwrap();
-        let counted = adj.execute_mode(&q, &db, OutputMode::Count).unwrap();
+        let counted = adj.execute_with(&q, &db, Strategy::CoOptimize, OutputMode::Count).unwrap();
         assert_eq!(counted.output, QueryOutput::Count(full.rows().len() as u64));
         assert_eq!(counted.output.tuples_returned(), 0, "count mode ships no tuples");
-        let exists = adj.execute_mode(&q, &db, OutputMode::Exists).unwrap();
+        let exists = adj.execute_with(&q, &db, Strategy::CoOptimize, OutputMode::Exists).unwrap();
         assert_eq!(exists.output, QueryOutput::Exists(!full.rows().is_empty()));
     }
 

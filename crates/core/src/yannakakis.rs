@@ -10,10 +10,8 @@
 //! minimal computation. ADJ's Algorithm 2 interpolates between this and
 //! plain HCubeJ.
 
-use adj_hcube::IndexScope;
 use adj_query::{GhdTree, JoinQuery};
 use adj_relational::{Database, Error, OutputMode, QueryOutput, Relation, Result};
-use std::sync::Arc;
 
 /// Prepared-query semantics for the baseline path: inline literals are
 /// honoured by filtering every *touched* relation at the source (selection
@@ -53,8 +51,6 @@ pub struct YannakakisReport {
     pub bag_tuples: u64,
     /// Total tuples removed by the two semi-join reducer passes.
     pub reduced_tuples: u64,
-    /// Multi-atom bags whose materialized join came from the index cache.
-    pub bags_reused: u64,
 }
 
 /// Evaluates `query` over `db` by GHD-Yannakakis, shaping the result by
@@ -73,51 +69,10 @@ pub fn yannakakis(
     mode: OutputMode,
 ) -> Result<(QueryOutput, YannakakisReport)> {
     let tree = GhdTree::decompose(&query.hypergraph(), 3);
-    yannakakis_with_tree(db, query, &tree, max_intermediate, mode)
-}
-
-/// Same as [`yannakakis`], with a caller-provided hypertree.
-pub fn yannakakis_with_tree(
-    db: &Database,
-    query: &JoinQuery,
-    tree: &GhdTree,
-    max_intermediate: usize,
-    mode: OutputMode,
-) -> Result<(QueryOutput, YannakakisReport)> {
-    yannakakis_with_tree_cached(db, query, tree, max_intermediate, mode, None)
-}
-
-/// [`yannakakis`] with a cross-query index cache: materialized multi-atom
-/// bag joins are reused across queries against the same database epoch
-/// (the semi-join reducer and bottom-up join still run per query — they
-/// depend on the whole query, not one bag).
-pub fn yannakakis_cached(
-    db: &Database,
-    query: &JoinQuery,
-    max_intermediate: usize,
-    mode: OutputMode,
-    index: Option<&IndexScope<'_>>,
-) -> Result<(QueryOutput, YannakakisReport)> {
-    let tree = GhdTree::decompose(&query.hypergraph(), 3);
-    yannakakis_with_tree_cached(db, query, &tree, max_intermediate, mode, index)
-}
-
-/// The general form: caller-provided hypertree *and* optional index cache.
-pub fn yannakakis_with_tree_cached(
-    db: &Database,
-    query: &JoinQuery,
-    tree: &GhdTree,
-    max_intermediate: usize,
-    mode: OutputMode,
-    index: Option<&IndexScope<'_>>,
-) -> Result<(QueryOutput, YannakakisReport)> {
     let mut report = YannakakisReport::default();
 
-    // Bound terms: filter the sources up front. Filtered bags are
-    // per-binding content, so the (label-keyed) bag cache is bypassed for
-    // the whole run — a bound bag must never alias an unbound entry.
+    // Bound terms: filter the sources up front.
     let overlay = bound_overlay(db, query)?;
-    let index = if overlay.is_empty() { index } else { None };
     let resolve = |name: &str| -> Result<&Relation> {
         match overlay.iter().find(|(n, _)| n == name) {
             Some((_, rel)) => Ok(rel),
@@ -146,45 +101,11 @@ pub fn yannakakis_with_tree_cached(
                 atom_ids.push(a);
             }
         }
-        // Multi-atom bag joins are pure functions of the member atoms (in
-        // order) against the current database epoch — cacheable. Single-atom
-        // bags are just clones, which a cache hit couldn't beat. Names are
-        // length-prefixed so no relation name (commas included) can collide
-        // two distinct member lists onto one label.
-        let label = (atom_ids.len() > 1).then(|| {
-            let mut label = String::from("yan-bag:");
-            for &a in &atom_ids {
-                let n = &query.atoms[a].name;
-                label.push_str(&format!("{}:{n},", n.len()));
-            }
-            label
-        });
-        if let (Some(scope), Some(label)) = (index, &label) {
-            if let Some(bag) = scope.cache.get_bag(&scope.bag_key(label.clone())) {
-                // Budget parity with the cold path: a cached bag that the
-                // caller's cap would have rejected mid-join is rejected
-                // here too (the bag's final size is itself one of the
-                // intermediates the cold path bounds).
-                if bag.len() > max_intermediate {
-                    return Err(Error::BudgetExceeded {
-                        what: "cached bag size",
-                        limit: max_intermediate,
-                    });
-                }
-                report.bags_reused += 1;
-                report.bag_tuples += bag.len() as u64;
-                bags.push((*bag).clone());
-                continue;
-            }
-        }
         let mut it = atom_ids.iter();
         let first = *it.next().expect("bags have at least one edge");
         let mut acc = resolve(&query.atoms[first].name)?.clone();
         for &ai in it {
             acc = acc.join_budgeted(resolve(&query.atoms[ai].name)?, max_intermediate)?;
-        }
-        if let (Some(scope), Some(label)) = (index, label) {
-            scope.cache.insert_bag(scope.bag_key(label), Arc::new(acc.clone()));
         }
         report.bag_tuples += acc.len() as u64;
         bags.push(acc);
@@ -300,31 +221,6 @@ mod tests {
         let (got, report) = yannakakis(&db, &q, usize::MAX, OutputMode::Rows).unwrap();
         assert_eq!(got.rows().len(), 1);
         assert!(report.reduced_tuples >= 3, "dangling tuples must be reduced");
-    }
-
-    #[test]
-    fn cached_bags_reused_with_identical_results() {
-        use adj_hcube::{IndexCache, IndexScope};
-        let q = paper_query(PaperQuery::Q4); // cyclic → multi-atom bags
-        let db = db_for(&q, 100, 23);
-        let cache = IndexCache::new(64 << 20);
-        let scope = IndexScope { cache: &cache, db_tag: 5, epoch: 0, versions: &[] };
-        let (cold, cr) =
-            yannakakis_cached(&db, &q, usize::MAX, OutputMode::Rows, Some(&scope)).unwrap();
-        assert_eq!(cr.bags_reused, 0);
-        let (warm, wr) =
-            yannakakis_cached(&db, &q, usize::MAX, OutputMode::Rows, Some(&scope)).unwrap();
-        assert_eq!(cold, warm, "warm bag reuse must be byte-identical");
-        assert!(wr.bags_reused > 0, "multi-atom bags must come from the cache");
-        assert_eq!(wr.bag_tuples, cr.bag_tuples);
-        // A different epoch must not serve the stale bags.
-        let s1 = IndexScope { cache: &cache, db_tag: 5, epoch: 1, versions: &[] };
-        let (_, er) = yannakakis_cached(&db, &q, usize::MAX, OutputMode::Rows, Some(&s1)).unwrap();
-        assert_eq!(er.bags_reused, 0);
-        // Budget parity: a cached bag over a smaller caller budget errors
-        // exactly like the cold path would.
-        let err = yannakakis_cached(&db, &q, 1, OutputMode::Rows, Some(&scope)).unwrap_err();
-        assert!(matches!(err, Error::BudgetExceeded { .. }));
     }
 
     #[test]

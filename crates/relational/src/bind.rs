@@ -125,6 +125,16 @@ impl BoundValues {
         BoundValues::new(pairs)
     }
 
+    /// This binding with `defaults` filling the attributes it leaves
+    /// unbound; where both bind an attribute, this binding's value wins.
+    /// The executors resolve a submission's values over a shared plan's
+    /// inline literals this way.
+    pub fn with_defaults(&self, defaults: &BoundValues) -> Result<BoundValues> {
+        let mut pairs = self.pairs.clone();
+        pairs.extend(defaults.pairs.iter().filter(|&&(a, _)| self.get(a).is_none()));
+        BoundValues::new(pairs)
+    }
+
     /// Whether `row` (laid out as `schema`'s columns) satisfies every bound
     /// equality that applies to the schema.
     pub fn matches(&self, schema: &Schema, row: &[Value]) -> bool {
@@ -205,5 +215,14 @@ mod tests {
         let c = BoundValues::new(vec![(Attr(0), 7)]).unwrap();
         assert!(a.merged(&c).is_err());
         assert!(a.merged(&a).unwrap() == a);
+    }
+
+    #[test]
+    fn defaults_fill_only_unbound_attrs() {
+        let a = BoundValues::new(vec![(Attr(0), 5)]).unwrap();
+        let c = BoundValues::new(vec![(Attr(0), 7), (Attr(2), 9)]).unwrap();
+        let d = a.with_defaults(&c).unwrap();
+        assert_eq!(d.pairs(), &[(Attr(0), 5), (Attr(2), 9)], "the binding's own value wins");
+        assert_eq!(BoundValues::none().with_defaults(&c).unwrap(), c);
     }
 }

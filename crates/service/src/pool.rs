@@ -186,30 +186,11 @@ impl WorkerPool {
 }
 
 fn run_one(service: &Service, request: &QueryRequest) -> Result<ServiceOutcome, ServiceError> {
-    let deadline = request.deadline;
-    match (&request.query, request.mode) {
-        (QueryInput::Text(text), None) if deadline.is_none() => {
-            service.execute_text(&request.database, text)
-        }
-        (QueryInput::Text(text), forced) => {
-            // Parse through the same path as execute_text (so the text may
-            // still carry a prefix), then force the requested mode (when
-            // one was set) and thread the deadline through.
-            match adj_query::parse_query_with_mode(text) {
-                Ok((query, _, parsed_mode)) => service.execute_mode_with_deadline(
-                    &request.database,
-                    &query,
-                    forced.unwrap_or(parsed_mode),
-                    deadline,
-                ),
-                Err(e) => {
-                    service.note_parse_failure();
-                    Err(e.into())
-                }
-            }
-        }
-        (QueryInput::Query(query), mode) => service.execute_mode_with_deadline(
-            &request.database,
+    let (db, mode, deadline) = (&request.database, request.mode, request.deadline);
+    match &request.query {
+        QueryInput::Text(text) => service.execute_text_with(db, text, mode, deadline),
+        QueryInput::Query(query) => service.execute_mode_with_deadline(
+            db,
             query,
             mode.unwrap_or(OutputMode::Rows),
             deadline,
@@ -309,6 +290,25 @@ mod tests {
             .wait()
             .unwrap();
         assert_eq!(overridden.output, adj_relational::QueryOutput::Exists(full > 0));
+    }
+
+    #[test]
+    fn explain_text_gets_one_typed_error_on_every_text_path() {
+        let pool = WorkerPool::new(service(), 2);
+        let text = "EXPLAIN R1(a,b), R2(b,c), R3(a,c)";
+        let direct = pool.service().execute_text("g", text);
+        let pooled = [
+            QueryRequest::text("g", text),
+            QueryRequest::text("g", text).with_deadline(Duration::from_secs(60)),
+            QueryRequest::text("g", text).with_mode(OutputMode::Count),
+        ];
+        for result in std::iter::once(direct).chain(pool.run_all(pooled)) {
+            match result {
+                Err(ServiceError::Parse { token, .. }) => assert_eq!(token, "EXPLAIN"),
+                other => panic!("expected the typed EXPLAIN parse error, got {other:?}"),
+            }
+        }
+        assert_eq!(pool.service().metrics().queries_failed, 4, "every rejection is counted");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The [`Service`] front door: named databases, shared cluster, cached
 //! plans, admission-gated execution.
 
-use crate::admission::AdmissionController;
+use crate::admission::{AdmissionController, AdmissionPermit};
 use crate::cache::{PlanCache, PlanCacheStats};
 use crate::explain;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
@@ -9,7 +9,9 @@ use crate::result_cache::{ResultCache, ResultCacheStats};
 use crate::{AdmissionStats, ServiceConfig, ServiceError};
 use adj_batch::{execute_plan_batch, BindingBatch};
 use adj_cluster::Cluster;
-use adj_core::{Adj, ExecutionReport, IndexCache, IndexCacheStats, IndexScope, QueryPlan};
+use adj_core::{
+    Adj, ExecRequest, ExecutionReport, IndexCache, IndexCacheStats, IndexScope, QueryPlan,
+};
 use adj_delta::{DeltaRelation, MutationBatch};
 use adj_faults::{CancelToken, FaultSite};
 use adj_hcube::patch_relation_indexes;
@@ -339,6 +341,57 @@ pub struct BatchOutcome {
     /// lookup, the shared shuffle, and the batched join — when tracing was
     /// on; `None` otherwise.
     pub trace: Option<QueryTrace>,
+}
+
+/// The plan one request runs: the plan-cache entry, or a fresh
+/// optimization just published into it.
+struct PlanLookup {
+    plan: Arc<QueryPlan>,
+    /// The plan-cache key (also the prefix of per-binding result keys).
+    key: u64,
+    /// Whether the plan came from the cache.
+    cache_hit: bool,
+}
+
+/// A request past the shared prologue ([`Service::admit`]): everything the
+/// execution and the epilogue ([`Service::finish`]) need.
+struct Admitted {
+    /// Submission instant; the deadline and `total_secs` count from here.
+    t_start: Instant,
+    /// The database snapshot the request runs on.
+    entry: Arc<DbEntry>,
+    /// The deadline in force: the request's own, else the configured
+    /// default.
+    deadline: Option<Duration>,
+    /// Fired by the deadline, or by an injected `Cancel` fault.
+    cancel: CancelToken,
+    /// Enabled when the trace settings (or `EXPLAIN ANALYZE`) ask for it.
+    tracer: Tracer,
+    /// Seconds spent waiting for the admission slot.
+    queue_secs: f64,
+    /// The submission's canonical fingerprint (structure + mode).
+    fingerprint: QueryFingerprint,
+    planned: PlanLookup,
+}
+
+impl Admitted {
+    /// The executor request: `mode` under the index cache's scope for this
+    /// request's database snapshot, with the request's token and tracer.
+    fn request<'a>(&'a self, index: &'a IndexCache, mode: OutputMode) -> ExecRequest<'a> {
+        let entry = &self.entry;
+        let scope = IndexScope {
+            cache: index,
+            db_tag: entry.tag,
+            epoch: entry.epoch,
+            versions: &entry.versions,
+        };
+        ExecRequest {
+            mode,
+            index: Some(scope),
+            cancel: self.cancel.clone(),
+            tracer: self.tracer.clone(),
+        }
+    }
 }
 
 /// A long-lived query service over one shared simulated cluster.
@@ -676,9 +729,7 @@ impl Service {
                 if let Ok(entry) = self.lookup(db_name) {
                     self.index.take_indexes_for(entry.tag, &batch.relation);
                 }
-                self.metrics.record_worker_panic();
-                self.metrics.record_failure();
-                Err(ServiceError::WorkerPanicked { worker: None, message: panic_message(payload) })
+                Err(self.fail_panicked(payload))
             }
         }
     }
@@ -870,25 +921,9 @@ impl Service {
     /// into the cache, so the first bound execution is already a hit), and
     /// returns the reusable statement.
     pub fn prepare(&self, db_name: &str, query: &JoinQuery) -> Result<PreparedQuery, ServiceError> {
-        let entry = match self.lookup(db_name) {
-            Ok(e) => e,
-            Err(e) => {
-                self.metrics.record_failure();
-                return Err(e);
-            }
-        };
+        let entry = self.lookup(db_name).inspect_err(|_| self.metrics.record_failure())?;
         let fingerprint = QueryFingerprint::of(query);
-        let key = fingerprint.cache_key(entry.tag, entry.stats_token(query));
-        if self.cache.get(key).is_none() {
-            let plan = match self.adj.plan(query, &entry.db, self.config.strategy) {
-                Ok(p) => Arc::new(p),
-                Err(e) => {
-                    self.metrics.record_failure();
-                    return Err(ServiceError::Exec(e));
-                }
-            };
-            self.cache.insert(key, entry.tag, plan);
-        }
+        self.plan_for(&entry, query, &fingerprint, &Tracer::disabled())?;
         self.metrics.record_prepare();
         Ok(PreparedQuery {
             db_name: db_name.to_string(),
@@ -988,109 +1023,24 @@ impl Service {
         deadline: Option<Duration>,
     ) -> Result<BatchOutcome, ServiceError> {
         let t_start = Instant::now();
-        let effective_deadline = deadline.or(self.config.default_deadline);
-        let cancel = match effective_deadline {
-            Some(d) => CancelToken::with_deadline(t_start + d),
-            None => CancelToken::manual(),
-        };
-        let settings = &self.config.trace;
-        let tracer = if settings.enabled || settings.slow_query_threshold.is_some() {
-            Tracer::new(settings.buffer_capacity)
-        } else {
-            Tracer::disabled()
-        };
-
         // Resolve every submission up front: a malformed binding (missing
         // or unknown `$name`) fails the whole batch before any slot is
         // held — batch inputs are validated as one request.
-        let mut resolved = Vec::with_capacity(bindings.len());
-        for b in bindings {
-            match prepared.query.resolve_bindings(b) {
-                Ok(v) => resolved.push(v),
-                Err(e) => {
-                    self.metrics.record_failure();
-                    return Err(ServiceError::Exec(e));
-                }
-            }
-        }
-        let batch = match BindingBatch::new(resolved) {
+        let resolved: Result<Vec<BoundValues>, _> =
+            bindings.iter().map(|b| prepared.query.resolve_bindings(b)).collect();
+        let batch = match resolved.and_then(BindingBatch::new) {
             Ok(b) => b,
             Err(e) => {
                 self.metrics.record_failure();
                 return Err(ServiceError::Exec(e));
             }
         };
-
-        let entry = match self.lookup(&prepared.db_name) {
-            Ok(e) => e,
-            Err(e) => {
-                self.metrics.record_failure();
-                return Err(e);
-            }
-        };
-
-        // Memory admission: the batch shares one shuffle, so its input
-        // footprint is the same one query's — charged once, not per
-        // binding.
-        if let Some(budget) = self.per_query_budget_bytes {
-            let estimated = Self::estimate_input_bytes(&entry.db, &prepared.query);
-            if estimated > budget {
-                self.admission.note_memory_rejection();
-                self.metrics.record_rejection();
-                return Err(ServiceError::RejectedMemory {
-                    estimated_bytes: estimated,
-                    budget_bytes: budget,
-                });
-            }
-        }
-
-        // One admission slot for the whole batch.
-        let t_queue = Instant::now();
-        let mut admit_span = tracer.span(COORDINATOR_LANE, "admission_wait");
-        let permit = match self.admission.admit() {
-            Ok(p) => p,
-            Err(e) => {
-                self.metrics.record_rejection();
-                return Err(e);
-            }
-        };
-        let queue_secs = t_queue.elapsed().as_secs_f64();
-        if let Err(c) = cancel.check() {
-            return Err(self.fail_cancelled(c, effective_deadline));
-        }
-        if queue_secs < 1e-6 {
-            admit_span.discard();
-        }
-        drop(admit_span);
-
-        // One plan lookup: every binding shares the statement's entry.
-        let fingerprint = QueryFingerprint::of_mode(&prepared.query, mode);
-        let key = fingerprint.cache_key(entry.tag, entry.stats_token(&prepared.query));
-        let mut lookup_span = tracer.span(COORDINATOR_LANE, "plan_lookup");
-        let (plan, cache_hit) = match self.cache.get(key) {
-            Some(plan) => (plan, true),
-            None => {
-                let mut optimize_span = tracer.span(COORDINATOR_LANE, "optimize");
-                let plan = match self.adj.plan(&prepared.query, &entry.db, self.config.strategy) {
-                    Ok(p) => Arc::new(p),
-                    Err(e) => {
-                        self.metrics.record_failure();
-                        return Err(ServiceError::Exec(e));
-                    }
-                };
-                if optimize_span.is_recording() {
-                    optimize_span.arg("relations", plan.relations.len() as u64);
-                }
-                drop(optimize_span);
-                self.cache.insert(key, entry.tag, Arc::clone(&plan));
-                (plan, false)
-            }
-        };
-        lookup_span.arg("hit", cache_hit as u64);
-        drop(lookup_span);
-        if !cache_hit {
-            self.maybe_resize();
-        }
+        // One admission slot and one plan lookup for the whole batch: the
+        // batch shares one shuffle, so its memory footprint is one
+        // query's, and every binding shares the statement's plan entry.
+        let (admitted, permit) =
+            self.admit(t_start, &prepared.db_name, &prepared.query, mode, false, deadline)?;
+        let key = admitted.planned.key;
 
         // Skim the result LRU: warm uniques are answered without
         // executing; the cold remainder forms the driver batch. Per-unique
@@ -1125,48 +1075,27 @@ impl Service {
                     return Err(ServiceError::Exec(e));
                 }
             };
-            let scope = IndexScope {
-                cache: &self.index,
-                db_tag: entry.tag,
-                epoch: entry.epoch,
-                versions: &entry.versions,
+            let (slot_results, batch_report) = {
+                let req = admitted.request(&self.index, mode);
+                self.run_guarded(admitted.deadline, || {
+                    execute_plan_batch(
+                        self.adj.cluster(),
+                        &admitted.entry.db,
+                        &admitted.planned.plan,
+                        self.adj.config(),
+                        &cold_batch,
+                        &req,
+                    )
+                })?
             };
-            let executed = catch_unwind(AssertUnwindSafe(|| {
-                execute_plan_batch(
-                    self.adj.cluster(),
-                    &entry.db,
-                    &plan,
-                    self.adj.config(),
-                    mode,
-                    Some(&scope),
-                    &cold_batch,
-                    &cancel,
-                    &tracer,
-                )
-            }));
-            match executed {
-                Ok(Ok((slot_results, batch_report))) => {
-                    report = batch_report;
-                    for (k, res) in slot_results.into_iter().enumerate() {
-                        let u = cold_slots[k];
-                        if let Ok(out) = &res {
-                            self.results.insert(
-                                Self::result_key(key, mode, &batch.unique()[u]),
-                                out.clone(),
-                            );
-                        }
-                        unique_results[u] = Some(res);
-                    }
+            report = batch_report;
+            for (k, res) in slot_results.into_iter().enumerate() {
+                let u = cold_slots[k];
+                if let Ok(out) = &res {
+                    self.results
+                        .insert(Self::result_key(key, mode, &batch.unique()[u]), out.clone());
                 }
-                Ok(Err(e)) => return Err(self.fail_exec(e, effective_deadline)),
-                Err(payload) => {
-                    self.metrics.record_failure();
-                    self.metrics.record_worker_panic();
-                    return Err(ServiceError::WorkerPanicked {
-                        worker: None,
-                        message: panic_message(payload),
-                    });
-                }
+                unique_results[u] = Some(res);
             }
         }
         drop(permit);
@@ -1186,7 +1115,7 @@ impl Service {
                     Err(e) => Err(match ServiceError::from(e.clone()) {
                         ServiceError::DeadlineExceeded { .. } => {
                             any_deadline = true;
-                            ServiceError::DeadlineExceeded { deadline: effective_deadline }
+                            ServiceError::DeadlineExceeded { deadline: admitted.deadline }
                         }
                         ServiceError::Cancelled => {
                             any_cancel = true;
@@ -1204,40 +1133,21 @@ impl Service {
             self.metrics.record_cancelled();
         }
 
-        if cache_hit {
-            report.optimization_secs = 0.0;
-        }
-        let total_secs = t_start.elapsed().as_secs_f64();
         let tuples_returned =
             results.iter().filter_map(|r| r.as_ref().ok()).map(|o| o.tuples_returned()).sum();
-        self.metrics.record_success(&report, mode, tuples_returned, queue_secs, total_secs);
+        let (total_secs, trace) =
+            self.finish(&admitted, &prepared.db_name, mode, &mut report, tuples_returned);
         self.metrics.record_batch(batch.len() as u64, result_cache_hits as u64);
-        let trace = tracer.enabled().then(|| {
-            self.metrics.record_trace(tracer.events_dropped());
-            QueryTrace::new(&tracer)
-        });
-        if let (Some(trace), Some(threshold)) = (&trace, settings.slow_query_threshold) {
-            if total_secs >= threshold.as_secs_f64() {
-                self.note_slow(SlowQuery {
-                    db_name: prepared.db_name.clone(),
-                    fingerprint,
-                    mode,
-                    total_secs,
-                    queue_secs,
-                    trace: trace.snapshot(),
-                });
-            }
-        }
         Ok(BatchOutcome {
             results,
             mode,
             report,
-            plan,
-            fingerprint,
-            cache_hit,
+            plan: admitted.planned.plan,
+            fingerprint: admitted.fingerprint,
+            cache_hit: admitted.planned.cache_hit,
             result_cache_hits,
             unique_executed,
-            queue_secs,
+            queue_secs: admitted.queue_secs,
             total_secs,
             trace,
         })
@@ -1280,11 +1190,54 @@ impl Service {
         force_trace: bool,
         deadline: Option<Duration>,
     ) -> Result<ServiceOutcome, ServiceError> {
-        let t_start = Instant::now();
+        let (admitted, permit) =
+            self.admit(Instant::now(), db_name, query, mode, force_trace, deadline)?;
+        // Execute on the shared cluster (borrowing the cached plan — no
+        // per-query plan clone on the hot path) under the index cache's
+        // scope: warm relations join over cached `Arc<Trie>` handles and
+        // skip the shuffle + build entirely.
+        let (output, mut report) = {
+            let req = admitted.request(&self.index, mode);
+            self.run_guarded(admitted.deadline, || {
+                self.adj.execute_prepared(&admitted.planned.plan, &admitted.entry.db, values, &req)
+            })?
+        };
+        drop(permit);
+        let (total_secs, trace) =
+            self.finish(&admitted, db_name, mode, &mut report, output.tuples_returned());
+        Ok(ServiceOutcome {
+            output,
+            mode,
+            report,
+            plan: admitted.planned.plan,
+            fingerprint: admitted.fingerprint,
+            cache_hit: admitted.planned.cache_hit,
+            queue_secs: admitted.queue_secs,
+            total_secs,
+            trace,
+        })
+    }
+
+    /// The prologue every execution shares, single query and binding batch
+    /// alike: the request's cancel token and tracer, the database lookup,
+    /// memory and concurrency admission, the post-queue deadline check, and
+    /// the plan lookup (re-fitting the worker width on a miss). Returns the
+    /// admitted request plus its admission slot, which the caller releases
+    /// as soon as execution ends. `t_start` is the submission instant the
+    /// deadline and `total_secs` count from.
+    fn admit(
+        &self,
+        t_start: Instant,
+        db_name: &str,
+        query: &JoinQuery,
+        mode: OutputMode,
+        force_trace: bool,
+        deadline: Option<Duration>,
+    ) -> Result<(Admitted, AdmissionPermit<'_>), ServiceError> {
         // Always a real (non-`none`) token: fault plans drive `Cancel`
         // injections through it even when no deadline is set.
-        let effective_deadline = deadline.or(self.config.default_deadline);
-        let cancel = match effective_deadline {
+        let deadline = deadline.or(self.config.default_deadline);
+        let cancel = match deadline {
             Some(d) => CancelToken::with_deadline(t_start + d),
             None => CancelToken::manual(),
         };
@@ -1294,13 +1247,7 @@ impl Service {
         } else {
             Tracer::disabled()
         };
-        let entry = match self.lookup(db_name) {
-            Ok(e) => e,
-            Err(e) => {
-                self.metrics.record_failure();
-                return Err(e);
-            }
-        };
+        let entry = self.lookup(db_name).inspect_err(|_| self.metrics.record_failure())?;
 
         // Memory admission: estimated input footprint vs the per-query
         // share of the cluster budget.
@@ -1319,19 +1266,13 @@ impl Service {
         // Concurrency admission.
         let t_queue = Instant::now();
         let mut admit_span = tracer.span(COORDINATOR_LANE, "admission_wait");
-        let permit = match self.admission.admit() {
-            Ok(p) => p,
-            Err(e) => {
-                self.metrics.record_rejection();
-                return Err(e);
-            }
-        };
+        let permit = self.admission.admit().inspect_err(|_| self.metrics.record_rejection())?;
         let queue_secs = t_queue.elapsed().as_secs_f64();
         // A deadline that expired while queued fails here — before any
-        // planning or execution work is charged to a query that can no
+        // planning or execution work is charged to a request that can no
         // longer finish in time.
         if let Err(c) = cancel.check() {
-            return Err(self.fail_cancelled(c, effective_deadline));
+            return Err(self.fail_cancelled(c, deadline));
         }
         if queue_secs < 1e-6 {
             // Admission was immediate; a zero-width span would only add
@@ -1340,13 +1281,35 @@ impl Service {
         }
         drop(admit_span);
 
-        // Plan: cached, or optimized now and published. The cache key uses
-        // the fingerprint's plan-relevant prefix only, so every output
-        // mode — and every *binding* — of a query shape shares one entry.
         let fingerprint = QueryFingerprint::of_mode(query, mode);
-        // Keying discipline (PR 4's route_tag, applied to bindings): the
-        // plan key must be a pure function of the shape — erasing every
-        // constant's value must not move it.
+        let planned = self.plan_for(&entry, query, &fingerprint, &tracer)?;
+        // A cold shape is the cheapest moment to re-fit the worker width:
+        // no cached plan or index family assumes the old width yet, and the
+        // optimizer below will solve shares for whatever width sticks.
+        if !planned.cache_hit {
+            self.maybe_resize();
+        }
+        let admitted =
+            Admitted { t_start, entry, deadline, cancel, tracer, queue_secs, fingerprint, planned };
+        Ok((admitted, permit))
+    }
+
+    /// The plan for `query` against `entry`: the cached one, or optimized
+    /// now and published. The cache key uses the fingerprint's
+    /// plan-relevant prefix only, so every output mode — and every
+    /// *binding* — of a query shape shares one entry. The one
+    /// lookup-or-optimize path: execution, batches, `prepare` and
+    /// `EXPLAIN` all plan here, so the `plan_lookup` / `optimize` spans
+    /// carry the same arguments on every path.
+    fn plan_for(
+        &self,
+        entry: &DbEntry,
+        query: &JoinQuery,
+        fingerprint: &QueryFingerprint,
+        tracer: &Tracer,
+    ) -> Result<PlanLookup, ServiceError> {
+        // Keying discipline: the plan key must be a pure function of the
+        // shape — erasing every constant's value must not move it.
         debug_assert_eq!(
             fingerprint.plan_key,
             QueryFingerprint::of(&query.erase_bound_values()).plan_key,
@@ -1375,81 +1338,60 @@ impl Service {
             }
         };
         lookup_span.arg("hit", cache_hit as u64);
-        drop(lookup_span);
+        Ok(PlanLookup { plan, key, cache_hit })
+    }
 
-        // A cold shape is the cheapest moment to re-fit the worker width:
-        // no cached plan or index family assumes the old width yet, and the
-        // optimizer below will solve shares for whatever width sticks.
-        if !cache_hit {
-            self.maybe_resize();
+    /// Runs one admitted execution with panics isolated to it.
+    /// `catch_unwind` here isolates *coordinator-side* panics (routing,
+    /// gather) to this request; worker panics are already caught
+    /// per-worker inside `Cluster::run` and surface as typed
+    /// `Err(WorkerPanicked)` results. Either way the process survives and
+    /// no partial artifact was published (the shuffle checks worker results
+    /// and the token *before* assembling or caching anything).
+    fn run_guarded<T>(
+        &self,
+        deadline: Option<Duration>,
+        run: impl FnOnce() -> adj_relational::Result<T>,
+    ) -> Result<T, ServiceError> {
+        match catch_unwind(AssertUnwindSafe(run)) {
+            Ok(Ok(value)) => Ok(value),
+            Ok(Err(e)) => Err(self.fail_exec(e, deadline)),
+            Err(payload) => Err(self.fail_panicked(payload)),
         }
+    }
 
-        // Execute on the shared cluster (borrowing the cached plan — no
-        // per-query plan clone on the hot path) under the index cache's
-        // scope: warm relations join over cached `Arc<Trie>` handles and
-        // skip the shuffle + build entirely.
-        let scope = IndexScope {
-            cache: &self.index,
-            db_tag: entry.tag,
-            epoch: entry.epoch,
-            versions: &entry.versions,
-        };
-        // `catch_unwind` here isolates *coordinator-side* panics (routing,
-        // gather, yannakakis) to this query; worker panics are already
-        // caught per-worker inside `Cluster::run` and surface as typed
-        // `Err(WorkerPanicked)` results. Either way the process survives
-        // and no partial artifact was published (the shuffle checks worker
-        // results and the token *before* assembling or caching anything).
-        let executed = catch_unwind(AssertUnwindSafe(|| {
-            self.adj.execute_bound_cancellable(
-                &plan,
-                &entry.db,
-                mode,
-                Some(&scope),
-                values,
-                &cancel,
-                &tracer,
-            )
-        }));
-        let (output, mut report) = match executed {
-            Ok(Ok(o)) => o,
-            Ok(Err(e)) => return Err(self.fail_exec(e, effective_deadline)),
-            Err(payload) => {
-                self.metrics.record_failure();
-                self.metrics.record_worker_panic();
-                return Err(ServiceError::WorkerPanicked {
-                    worker: None,
-                    message: panic_message(payload),
-                });
-            }
-        };
-        drop(permit);
-
-        if cache_hit {
-            // The search cost was charged by the miss that built the entry.
+    /// The epilogue every successful execution shares: zeroes the search
+    /// cost on a plan-cache hit (the miss that built the entry paid it),
+    /// records the success, materializes the trace handle, and feeds the
+    /// slow-query log. Returns the request's end-to-end seconds and trace.
+    fn finish(
+        &self,
+        admitted: &Admitted,
+        db_name: &str,
+        mode: OutputMode,
+        report: &mut ExecutionReport,
+        tuples_returned: u64,
+    ) -> (f64, Option<QueryTrace>) {
+        if admitted.planned.cache_hit {
             report.optimization_secs = 0.0;
         }
-        let total_secs = t_start.elapsed().as_secs_f64();
-        self.metrics.record_success(
-            &report,
-            mode,
-            output.tuples_returned(),
-            queue_secs,
-            total_secs,
-        );
+        let total_secs = admitted.t_start.elapsed().as_secs_f64();
+        let queue_secs = admitted.queue_secs;
+        self.metrics.record_success(report, mode, tuples_returned, queue_secs, total_secs);
+        let tracer = &admitted.tracer;
         let trace = tracer.enabled().then(|| {
             // Recording stops here, but the buffer is NOT drained: the
             // handle materializes the sorted timeline on first read, so
-            // queries whose trace nobody inspects never pay collection
+            // requests whose trace nobody inspects never pay collection
             // cost on the serving path.
             self.metrics.record_trace(tracer.events_dropped());
-            QueryTrace::new(&tracer)
+            QueryTrace::new(tracer)
         });
-        if let (Some(trace), Some(threshold)) = (&trace, settings.slow_query_threshold) {
+        if let (Some(trace), Some(threshold)) = (&trace, self.config.trace.slow_query_threshold) {
             if total_secs >= threshold.as_secs_f64() {
                 self.note_slow(SlowQuery {
                     db_name: db_name.to_string(),
-                    fingerprint,
+                    fingerprint: admitted.fingerprint,
                     mode,
                     total_secs,
                     queue_secs,
@@ -1457,17 +1399,14 @@ impl Service {
                 });
             }
         }
-        Ok(ServiceOutcome {
-            output,
-            mode,
-            report,
-            plan,
-            fingerprint,
-            cache_hit,
-            queue_secs,
-            total_secs,
-            trace,
-        })
+        (total_secs, trace)
+    }
+
+    /// Records a caught panic and shapes it into its service error.
+    fn fail_panicked(&self, payload: Box<dyn std::any::Any + Send>) -> ServiceError {
+        self.metrics.record_failure();
+        self.metrics.record_worker_panic();
+        ServiceError::WorkerPanicked { worker: None, message: panic_message(payload) }
     }
 
     /// Maps an execution-layer error into its service error, recording the
@@ -1547,6 +1486,20 @@ impl Service {
     /// its result is a rendered plan, not a [`ServiceOutcome`]; submit it
     /// through [`Service::explain_text`] instead.
     pub fn execute_text(&self, db_name: &str, text: &str) -> Result<ServiceOutcome, ServiceError> {
+        self.execute_text_with(db_name, text, None, None)
+    }
+
+    /// The one text path: [`Service::execute_text`] with an optional mode
+    /// override (replacing any prefix the text carries) and a deadline
+    /// (see [`Service::execute_mode_with_deadline`]). The worker pool sends
+    /// every textual request through here.
+    pub(crate) fn execute_text_with(
+        &self,
+        db_name: &str,
+        text: &str,
+        mode: Option<OutputMode>,
+        deadline: Option<Duration>,
+    ) -> Result<ServiceOutcome, ServiceError> {
         match parse_query_explain(text) {
             Ok(None) => {}
             Ok(Some(_)) => {
@@ -1564,14 +1517,14 @@ impl Service {
                 return Err(e.into());
             }
         }
-        let (query, _attr_names, mode) = match parse_query_with_mode(text) {
+        let (query, _attr_names, parsed_mode) = match parse_query_with_mode(text) {
             Ok(parsed) => parsed,
             Err(e) => {
                 self.metrics.record_failure();
                 return Err(e.into());
             }
         };
-        self.execute_mode(db_name, &query, mode)
+        self.execute_mode_with_deadline(db_name, &query, mode.unwrap_or(parsed_mode), deadline)
     }
 
     /// Serves `EXPLAIN` / `EXPLAIN ANALYZE` query text: renders the chosen
@@ -1601,63 +1554,30 @@ impl Service {
                 }
             },
         };
+        let strategy = self.config.strategy;
         match explain {
             ExplainMode::Plan => {
-                let entry = match self.lookup(db_name) {
-                    Ok(e) => e,
-                    Err(e) => {
-                        self.metrics.record_failure();
-                        return Err(e);
-                    }
-                };
+                let entry = self.lookup(db_name).inspect_err(|_| self.metrics.record_failure())?;
                 let fingerprint = QueryFingerprint::of(&query);
-                let key = fingerprint.cache_key(entry.tag, entry.stats_token(&query));
-                let plan = match self.cache.get(key) {
-                    Some(p) => p,
-                    None => {
-                        let plan = match self.adj.plan(&query, &entry.db, self.config.strategy) {
-                            Ok(p) => Arc::new(p),
-                            Err(e) => {
-                                self.metrics.record_failure();
-                                return Err(ServiceError::Exec(e));
-                            }
-                        };
-                        self.cache.insert(key, entry.tag, Arc::clone(&plan));
-                        plan
-                    }
-                };
-                Ok(explain::render(
-                    &plan,
-                    &names,
-                    db_name,
-                    self.config.strategy,
-                    mode,
-                    explain,
-                    None,
-                ))
+                let planned = self.plan_for(&entry, &query, &fingerprint, &Tracer::disabled())?;
+                Ok(explain::render(&planned.plan, &names, db_name, strategy, mode, explain, None))
             }
             ExplainMode::Analyze => {
                 let values = self.validated_const_bindings(&query)?;
                 let outcome = self.execute_inner(db_name, &query, mode, &values, true, None)?;
                 let trace = outcome.trace.as_ref().expect("forced tracing always yields a trace");
+                let actuals = Some((&outcome.report, &**trace));
                 Ok(explain::render(
                     &outcome.plan,
                     &names,
                     db_name,
-                    self.config.strategy,
+                    strategy,
                     mode,
                     explain,
-                    Some((&outcome.report, trace)),
+                    actuals,
                 ))
             }
         }
-    }
-
-    /// Records a parse failure discovered outside [`Service::execute_text`]
-    /// (the worker pool's mode-override path parses on its own) so every
-    /// failed submission is visible in the metrics.
-    pub(crate) fn note_parse_failure(&self) {
-        self.metrics.record_failure();
     }
 
     /// Plan-cache counters.

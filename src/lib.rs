@@ -44,16 +44,19 @@
 //! # assert!(out.rows().len() > 0);
 //!
 //! // Only need the number? Count mode never gathers a single tuple:
-//! let n = adj.execute_mode(&query, &db, OutputMode::Count).unwrap();
+//! let n = adj.execute_with(&query, &db, Strategy::CoOptimize, OutputMode::Count).unwrap();
 //! assert_eq!(n.output, QueryOutput::Count(out.rows().len() as u64));
 //! ```
 //!
 //! ## Output modes
 //!
-//! Every execution entry point — [`Adj::execute_mode`](prelude::Adj::execute_mode),
-//! `execute_plan`/`yannakakis` in [`core`], `Service::execute_mode` and
-//! text queries prefixed `COUNT(…)` / `LIMIT k (…)` / `EXISTS(…)` in
-//! [`service`] — accepts an [`OutputMode`](prelude::OutputMode) choosing
+//! Every execution entry point — [`Adj::execute_with`](prelude::Adj::execute_with),
+//! [`Adj::execute_prepared`](prelude::Adj::execute_prepared) and
+//! `execute_plan` (both take one [`ExecRequest`](prelude::ExecRequest):
+//! output mode, index-cache scope, cancel token, tracer) and `yannakakis`
+//! in [`core`], `Service::execute_mode` and text queries prefixed
+//! `COUNT(…)` / `LIMIT k (…)` / `EXISTS(…)` in [`service`] — accepts an
+//! [`OutputMode`](prelude::OutputMode) choosing
 //! what comes back: the full relation (`Rows`), the cardinality alone
 //! (`Count` — per-worker counters, nothing materialized or gathered), a
 //! bounded sample (`Limit(n)` — Leapfrog short-circuits at `n` rows per
@@ -81,7 +84,8 @@ pub use adj_trace as trace;
 pub mod prelude {
     pub use adj_cluster::{Cluster, ClusterConfig, TransportKind};
     pub use adj_core::{
-        Adj, AdjConfig, CostParams, ExecutionReport, Prepared, QueryPlan, SkewConfig, Strategy,
+        Adj, AdjConfig, CostParams, ExecRequest, ExecutionReport, Prepared, QueryPlan, SkewConfig,
+        Strategy,
     };
     pub use adj_datagen::{update_stream, Dataset, UpdateBatch, UpdateStreamConfig};
     pub use adj_delta::{DeltaConfig, DeltaRelation, MutationBatch};

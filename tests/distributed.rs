@@ -90,7 +90,9 @@ fn precompute_changes_rewritten_query_share() {
     // When a bag is pre-computed the rewritten query has fewer, wider
     // relations; the share optimizer may pick a different p. Verify the
     // plan pipeline is consistent end to end by forcing pre-computation.
-    use adj::core::{execute_plan, optimize, OutputMode, QueryPlan, Strategy};
+    use adj::core::{
+        execute_plan, optimize, BoundValues, ExecRequest, OutputMode, QueryPlan, Strategy,
+    };
     let q = paper_query(PaperQuery::Q6);
     let g = Dataset::AS.graph(0.01);
     let db = q.instantiate(&g);
@@ -110,11 +112,19 @@ fn precompute_changes_rewritten_query_share() {
     if !adj::query::order::is_valid_order(&plan.tree, &plan.order) {
         plan.order = adj::query::order::valid_orders(&plan.tree)[0].clone();
     }
-    let (forced, rep_forced) = execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
+    let (forced, rep_forced) = execute_plan(
+        &cluster,
+        &db,
+        &plan,
+        &cfg,
+        &BoundValues::none(),
+        &ExecRequest::new(OutputMode::Rows),
+    )
+    .unwrap();
     assert!(rep_forced.precompute_tuples > 0);
 
     let baseline = Adj::with_workers(cfg.cluster.num_workers)
-        .execute_with_strategy(&q, &db, Strategy::CommFirst)
+        .execute_with(&q, &db, Strategy::CommFirst, OutputMode::Rows)
         .unwrap();
     assert_eq!(forced.rows().len(), baseline.rows().len());
 }

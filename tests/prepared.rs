@@ -46,7 +46,7 @@ fn bound_results_match_the_filter_then_join_oracle() {
         let db = unbound.instantiate(&g);
         let (bound_q, _) = parse_query(text).unwrap();
         for strategy in STRATEGIES {
-            let full = adj.execute_with_strategy(&unbound, &db, strategy).unwrap();
+            let full = adj.execute_with(&unbound, &db, strategy, OutputMode::Rows).unwrap();
             let full = full.rows();
             let prepared = adj.prepare(&bound_q, &db, strategy).unwrap();
             // A well-matched vertex, a sparse one, and an absent one.

@@ -207,3 +207,42 @@ fn prepared_bound_executions_trace_too() {
     assert!(!trace.events_named("shuffle").is_empty());
     assert_eq!(trace.events_named("join").len(), WORKERS);
 }
+
+#[test]
+fn cold_batch_and_cold_query_record_the_same_optimize_span() {
+    let tri = paper_query(PaperQuery::Q1);
+    let db = tri.instantiate(&Dataset::WB.graph(0.01));
+    let optimize_arg_keys = |trace: &Trace| -> Vec<String> {
+        let spans = trace.events_named("optimize");
+        assert_eq!(spans.len(), 1, "one cold plan lookup, one optimize span");
+        let mut keys: Vec<String> = spans[0].args.iter().map(|(k, _)| k.to_string()).collect();
+        keys.sort();
+        keys
+    };
+
+    // A cold batch: preparing warms the plan cache, so re-register the
+    // database to make the batch's own plan lookup miss.
+    let batched = service_with(Strategy::CoOptimize, Some(traced_settings()));
+    batched.register_database("g", db.clone());
+    let (shape, _) = parse_query("Q(b,c) :- R1($v,b), R2(b,c), R3($v,c)").unwrap();
+    let prepared = batched.prepare("g", &shape).unwrap();
+    batched.register_database("g", db.clone());
+    let bindings: Vec<Bindings> = (0..4).map(|v| Bindings::new().set("v", v)).collect();
+    let batch = batched.execute_batch(&prepared, &bindings, OutputMode::Count).unwrap();
+    assert!(!batch.cache_hit);
+    let batch_keys = optimize_arg_keys(batch.trace.as_ref().unwrap());
+
+    // A cold single query of the same shape (inline literal for `$v`).
+    let single = service_with(Strategy::CoOptimize, Some(traced_settings()));
+    single.register_database("g", db);
+    let (literal, _) = parse_query("Q(b,c) :- R1(3,b), R2(b,c), R3(3,c)").unwrap();
+    let out = single.execute_mode("g", &literal, OutputMode::Count).unwrap();
+    assert!(!out.cache_hit);
+    let single_keys = optimize_arg_keys(out.trace.as_ref().unwrap());
+
+    for key in ["relations", "precomputed_bags"] {
+        assert!(batch_keys.iter().any(|k| k == key), "batch optimize span lacks {key}");
+        assert!(single_keys.iter().any(|k| k == key), "query optimize span lacks {key}");
+    }
+    assert_eq!(batch_keys, single_keys, "one plan path, one span shape");
+}
